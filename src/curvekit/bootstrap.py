@@ -12,7 +12,9 @@ and :func:`swap_rates_from_discounts` inverts it exactly via
 The ``check_*`` functions verify how bootstrapped discounts and annuities
 respond to rate shifts.  They evaluate the *conclusions* only; callers are
 responsible for supplying scenarios that meet each check's hypothesis
-(noted per function).  Results come back as structured
+(noted per function).  :func:`shift_response` runs the same checks on a
+pair of curves the caller has already bootstrapped, choosing the ones
+whose hypothesis the scenario meets.  Results come back as structured
 :class:`~curvekit.curves.CheckResult` records so the first violating grid
 index is reportable, not just a boolean.
 """
@@ -30,6 +32,7 @@ from .curves import (
     DiscountCurve,
     SwapCurve,
 )
+from .shape import CONCAVE, CONVEX, annuity_point_classification, ratio_monotonicity
 
 PARALLEL = "parallel"
 PER_TENOR = "per_tenor"
@@ -191,6 +194,47 @@ def tail_diagnostics(
     )
 
 
+def shift_response(
+    base: DiscountCurve, shifted: DiscountCurve, scenario: ShiftScenario
+) -> list[tuple[str, CheckResult | None]]:
+    """The six shift-response rows of a scenario, as (name, outcome) pairs.
+
+    ``base`` and ``shifted`` are the curves before and after ``scenario``,
+    each bootstrapped once and validated by the caller.  An outcome is
+    None when the scenario is outside the check's hypothesis: the annuity
+    bound needs a uniformly signed shift; the bracket, discount-drop and
+    annuity-ratio checks a parallel rise; the triple check three tenors.
+    A uniformly non-positive shift flips the factor-ratio and triple
+    checks: the ratio must then not fall, and a concave triple fails.
+    The consecutive annuity-point triples decide the triple check, by
+    the chord-slope argument in :mod:`curvekit.shape`.
+    """
+    if len(base) != len(shifted):
+        raise ValueError("curves must share one grid")
+    amounts = scenario.amounts_for(len(base))
+    rising = any(a > 0.0 for a in amounts)
+    falling = any(a < 0.0 for a in amounts)
+    down = falling and not rising
+    y = scenario.amount
+    up = scenario.kind == PARALLEL and y > 0.0
+    direction = "non_decreasing" if down else "non_increasing"
+    bad = CONCAVE if down else CONVEX
+    return [
+        (
+            "annuity_bound",
+            None if rising and falling else _annuity_bound(base, shifted, not down),
+        ),
+        ("bracket_identity", _parallel_brackets(base, shifted, y) if up else None),
+        ("discount_drop", _parallel_discount_drop(base, shifted) if up else None),
+        (
+            "annuity_ratio_decreasing",
+            _annuity_ratio_decreasing(base, shifted) if up else None,
+        ),
+        ("discount_ratio_monotone", ratio_monotonicity(base, shifted, direction=direction)),
+        ("annuity_triples", _annuity_triples(base, shifted, bad) if len(base) >= 3 else None),
+    ]
+
+
 def check_annuity_bound(
     swaps: SwapCurve, shift: ShiftScenario, tol: float = MONOTONE_TOL
 ) -> CheckResult:
@@ -205,9 +249,14 @@ def check_annuity_bound(
     has_neg = any(a < 0.0 for a in amounts)
     if has_pos and has_neg:
         raise ValueError("annuity bound needs a uniformly signed shift")
-    base = bootstrap(swaps)
-    shifted = shifted_bootstrap(swaps, shift)
-    upward = has_pos or not has_neg
+    return _annuity_bound(
+        bootstrap(swaps), shifted_bootstrap(swaps, shift), not has_neg, tol
+    )
+
+
+def _annuity_bound(
+    base: DiscountCurve, shifted: DiscountCurve, upward: bool, tol: float = MONOTONE_TOL
+) -> CheckResult:
     for n, (a_base, a_shift) in enumerate(
         zip(base.annuities, shifted.annuities), start=1
     ):
@@ -235,11 +284,17 @@ def check_parallel_brackets(
     """
     if y <= 0.0:
         raise ValueError("bracket decomposition is defined for a rise y > 0")
-    base = bootstrap(swaps)
-    shifted = shifted_bootstrap(swaps, ShiftScenario.parallel(y))
-    for n in range(1, len(swaps) + 1):
-        p_base, a_base = base.factors[n - 1], base.annuities[n - 1]
-        p_shift, a_shift = shifted.factors[n - 1], shifted.annuities[n - 1]
+    return _parallel_brackets(
+        bootstrap(swaps), shifted_bootstrap(swaps, ShiftScenario.parallel(y)), y, tol
+    )
+
+
+def _parallel_brackets(
+    base: DiscountCurve, shifted: DiscountCurve, y: float, tol: float = MONOTONE_TOL
+) -> CheckResult:
+    for n, (p_base, a_base, p_shift, a_shift) in enumerate(
+        zip(base.factors, base.annuities, shifted.factors, shifted.annuities), start=1
+    ):
         b1 = p_base / a_base - p_shift / a_shift
         b2 = 1.0 / a_shift - 1.0 / a_base
         if b1 < -tol or b1 > y + tol:
@@ -267,8 +322,12 @@ def check_parallel_discount_drop(swaps: SwapCurve, y: float) -> CheckResult:
     """A parallel rise y > 0 strictly lowers every discount factor."""
     if y <= 0.0:
         raise ValueError("discount drop is defined for a rise y > 0")
-    base = bootstrap(swaps)
-    shifted = shifted_bootstrap(swaps, ShiftScenario.parallel(y))
+    return _parallel_discount_drop(
+        bootstrap(swaps), shifted_bootstrap(swaps, ShiftScenario.parallel(y))
+    )
+
+
+def _parallel_discount_drop(base: DiscountCurve, shifted: DiscountCurve) -> CheckResult:
     for n, (pb, ps) in enumerate(zip(base.factors, shifted.factors), start=1):
         if not ps < pb:
             return CheckResult(
@@ -285,8 +344,12 @@ def check_annuity_ratio_decreasing(swaps: SwapCurve, y: float) -> CheckResult:
     """
     if y <= 0.0:
         raise ValueError("annuity ratio monotonicity is defined for a rise y > 0")
-    base = bootstrap(swaps)
-    shifted = shifted_bootstrap(swaps, ShiftScenario.parallel(y))
+    return _annuity_ratio_decreasing(
+        bootstrap(swaps), shifted_bootstrap(swaps, ShiftScenario.parallel(y))
+    )
+
+
+def _annuity_ratio_decreasing(base: DiscountCurve, shifted: DiscountCurve) -> CheckResult:
     ratios = [s / b for s, b in zip(shifted.annuities, base.annuities)]
     for n, (r, r_next) in enumerate(zip(ratios, ratios[1:]), start=1):
         if not r_next < r:
@@ -297,3 +360,19 @@ def check_annuity_ratio_decreasing(swaps: SwapCurve, y: float) -> CheckResult:
                 f"ratio {r:.12g} -> {r_next:.12g} is not a decrease",
             )
     return CheckResult("annuity_ratio_decreasing", True)
+
+
+def _annuity_triples(
+    base: DiscountCurve, shifted: DiscountCurve, bad_verdict: str
+) -> CheckResult:
+    for n in range(1, len(base) - 1):
+        idx = (n, n + 1, n + 2)
+        cls = annuity_point_classification(base, shifted, idx)
+        if cls.verdict == bad_verdict:
+            return CheckResult(
+                "annuity_triples",
+                False,
+                n,
+                f"triple {idx} classifies {cls.verdict} (margin {cls.margin:.3e})",
+            )
+    return CheckResult("annuity_triples", True)

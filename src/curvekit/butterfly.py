@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .bootstrap import ShiftScenario, bootstrap, shifted_bootstrap
-from .curves import RATE_HI, RATE_LO, SwapCurve, ZeroCurve, validate
+from .curves import RATE_HI, RATE_LO, DiscountCurve, SwapCurve, ZeroCurve, _require_valid
 from .shape import CLASSIFY_TOL, CONSECUTIVE, CONVEX, scan_curve_shape
 
 ZERO_BOND = "zero_bond"
@@ -233,7 +233,12 @@ def swap_butterfly(swaps: SwapCurve, indices: tuple[int, int, int]) -> Butterfly
     n, m, k = indices
     if not (1 <= n < m < k <= len(swaps)):
         raise ValueError(f"need 1 <= n < m < k <= {len(swaps)}, got {indices}")
-    curve = bootstrap(swaps, strict=True)
+    return _swap_weights(bootstrap(swaps, strict=True), indices)
+
+
+def _swap_weights(curve: DiscountCurve, indices: tuple[int, int, int]) -> Butterfly:
+    """Swap butterfly from a valid base curve at in-range grid years."""
+    n, m, k = indices
     a_n, a_m, a_k = (curve.annuities[i - 1] for i in (n, m, k))
     w1 = a_k - a_m
     w3 = a_m - a_n
@@ -317,13 +322,7 @@ def scan_arbitrage(
     elif kind == SWAP:
         if not isinstance(curve, SwapCurve):
             raise ValueError("swap scan expects a SwapCurve")
-        disc = bootstrap(curve)
-        report = validate(disc)
-        if not report.ok:
-            first = report.violations[0]
-            raise ValueError(
-                f"curve fails validation: {first.kind} at index {first.index}"
-            )
+        disc = _require_valid(bootstrap(curve), "curve")
         points = list(zip(disc.annuities, curve.rates))
     else:
         raise ValueError(f"unknown butterfly kind {kind!r}")
@@ -336,7 +335,7 @@ def scan_arbitrage(
         if kind == ZERO_BOND:
             fly = zero_butterfly(curve.tenors[i], curve.tenors[j], curve.tenors[k_])
         else:
-            fly = swap_butterfly(curve, (i + 1, j + 1, k_ + 1))
+            fly = _swap_weights(disc, (i + 1, j + 1, k_ + 1))
         candidates.append(
             ArbitrageCandidate((i + 1, j + 1, k_ + 1), fly.legs, cls.margin, fly)
         )

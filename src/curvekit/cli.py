@@ -14,22 +14,14 @@ value plus the trial index, never from ambient randomness.
 
 from __future__ import annotations
 
+import math
 import sys
 from random import Random
 
 import click
 
 from . import io as curve_io
-from .bootstrap import (
-    ShiftScenario,
-    apply_shift,
-    bootstrap,
-    check_annuity_bound,
-    check_annuity_ratio_decreasing,
-    check_parallel_brackets,
-    check_parallel_discount_drop,
-    shifted_bootstrap,
-)
+from .bootstrap import ShiftScenario, bootstrap, shift_response, shifted_bootstrap
 from .butterfly import (
     SWAP,
     ZERO_BOND,
@@ -43,17 +35,15 @@ from .butterfly import (
     zero_butterfly_pnl,
 )
 from .curves import (
-    CheckResult,
     DiscountCurve,
-    SwapCurve,
-    ZeroCurve,
+    _require_valid,
     discounts_from_zeros,
     forward_rates,
     par_rates,
     validate,
 )
 from .sampling import perturb_swap_curve
-from .shape import ALL_TRIPLES, CONSECUTIVE, annuity_point_classification, ratio_monotonicity
+from .shape import ALL_TRIPLES, CONSECUTIVE
 
 BP = 1e-4
 
@@ -76,6 +66,11 @@ def _emit(lines: list[str], out: str | None) -> None:
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _require_finite(flag: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        _fail(f"{flag} must be finite", 1)
 
 
 def _read(path: str, default_type: str | None):
@@ -118,28 +113,11 @@ def _parse_shift_range(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         _fail(f"could not parse --shift-bp from {text!r}", 1)
+    _require_finite("--shift-bp", lo, hi, step)
     if step <= 0 or hi < lo:
         _fail("--shift-bp needs step > 0 and hi >= lo", 1)
     count = int(round((hi - lo) / step)) + 1
     return [lo + i * step for i in range(count)]
-
-
-def _yield_at(curve: ZeroCurve, t: float) -> float:
-    """Zero yield at tenor t: exact pillar or linear interpolation."""
-    tenors, yields = curve.tenors, curve.yields
-    if t < tenors[0] or t > tenors[-1]:
-        raise ValueError(
-            f"leg {t} outside the curve's tenor range "
-            f"[{tenors[0]}, {tenors[-1]}]"
-        )
-    for i, tt in enumerate(tenors):
-        if tt == t:
-            return yields[i]
-        if tt > t:
-            t0, t1 = tenors[i - 1], tt
-            y0, y1 = yields[i - 1], yields[i]
-            return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
-    return yields[-1]
 
 
 @click.group()
@@ -225,6 +203,7 @@ def cmd_forwards(path: str, curve_type: str, out: str | None) -> None:
 def cmd_validate(path: str, curve_type: str, tol: float, out: str | None) -> None:
     """No-arbitrage violations of a curve's discount factors; exit 1 if any."""
     curve_file = _read(path, curve_type)
+    _require_finite("--tol", tol)
     try:
         report = validate(_as_discounts(curve_file), tol=tol)
     except ValueError as exc:
@@ -258,6 +237,7 @@ def cmd_scan(path: str, kind: str, mode: str, tol: float, out: str | None) -> No
     """Convex triples of a curve, largest margin first."""
     file_type = curve_io.ZERO if kind == "zero" else curve_io.SWAP
     curve_file = _read(path, file_type)
+    _require_finite("--tol", tol)
     scan_mode = CONSECUTIVE if mode == "consecutive" else ALL_TRIPLES
     try:
         if kind == "zero":
@@ -319,7 +299,7 @@ def cmd_butterfly(
             _emit([header, row], out)
             return
         zero = curve_file.to_zero_curve()
-        yields = tuple(_yield_at(zero, t) for t in (t1, t2, t3))
+        yields = tuple(zero.yield_at(t) for t in (t1, t2, t3))
         move = NonParallelMove(
             tuple(m * BP for m in _parse_triple(moves, "--moves")), horizon
         )
@@ -362,7 +342,7 @@ def cmd_pnl(
             zero = curve_file.to_zero_curve()
             t1, t2, t3 = _parse_triple(legs, "--legs")
             fly = zero_butterfly(t1, t2, t3)
-            yields = tuple(_yield_at(zero, t) for t in (t1, t2, t3))
+            yields = tuple(zero.yield_at(t) for t in (t1, t2, t3))
             lines = ["shift_bp,horizon,value"]
             for bp in shifts:
                 value = zero_butterfly_pnl(fly, yields, bp * BP, horizon)
@@ -394,86 +374,6 @@ def _parse_verify_shift(text: str) -> ShiftScenario:
     return ShiftScenario.per_tenor(values)
 
 
-def _verify_checks(swaps: SwapCurve, scenario: ShiftScenario) -> list:
-    """Run every shift-response check whose hypothesis the scenario meets.
-
-    Returns (name, outcome) pairs where outcome is a CheckResult or None
-    for a skipped check.
-    """
-    amounts = scenario.amounts_for(len(swaps))
-    parallel_up = scenario.kind == "parallel" and scenario.amount > 0.0
-    uniform_sign = not (any(a > 0 for a in amounts) and any(a < 0 for a in amounts))
-    # A uniformly non-positive shift drifts factors the other way, so the
-    # ratio and triple checks flip direction.
-    falling = all(a <= 0 for a in amounts) and any(a < 0 for a in amounts)
-
-    results = []
-    results.append(
-        ("annuity_bound", check_annuity_bound(swaps, scenario) if uniform_sign else None)
-    )
-    results.append(
-        (
-            "bracket_identity",
-            check_parallel_brackets(swaps, scenario.amount) if parallel_up else None,
-        )
-    )
-    results.append(
-        (
-            "discount_drop",
-            check_parallel_discount_drop(swaps, scenario.amount) if parallel_up else None,
-        )
-    )
-    results.append(
-        (
-            "annuity_ratio_decreasing",
-            check_annuity_ratio_decreasing(swaps, scenario.amount)
-            if parallel_up
-            else None,
-        )
-    )
-    base = bootstrap(swaps)
-    shifted = shifted_bootstrap(swaps, scenario)
-    direction = "non_decreasing" if falling else "non_increasing"
-    results.append(
-        ("discount_ratio_monotone", ratio_monotonicity(base, shifted, direction=direction))
-    )
-
-    # Annuity-point triples must avoid the kink direction implied by the
-    # shift: convex triples are the failure for a rise, concave for a fall.
-    bad_verdict = "concave" if falling else "convex"
-    n = len(swaps)
-    if n >= 3:
-        triples = (
-            [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1) for k in range(j + 1, n + 1)]
-            if n <= 20
-            else [(i, i + 1, i + 2) for i in range(1, n - 1)]
-        )
-        failure = None
-        for idx in triples:
-            cls = annuity_point_classification(base, shifted, idx)
-            if cls.verdict == bad_verdict:
-                failure = (idx, cls)
-                break
-        if failure is None:
-            results.append(("annuity_triples", CheckResult("annuity_triples", True)))
-        else:
-            idx, cls = failure
-            results.append(
-                (
-                    "annuity_triples",
-                    CheckResult(
-                        "annuity_triples",
-                        False,
-                        idx[0],
-                        f"triple {idx} classifies {cls.verdict} (margin {cls.margin:.3e})",
-                    ),
-                )
-            )
-    else:
-        results.append(("annuity_triples", None))
-    return results
-
-
 @main.command("verify")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option(
@@ -489,32 +389,24 @@ def _verify_checks(swaps: SwapCurve, scenario: ShiftScenario) -> list:
 def cmd_verify(path: str, shift_bp: str, trials: int, seed: int, out: str | None) -> None:
     """Shift-response checks on the file's curve and seeded perturbations."""
     curve_file = _read(path, curve_io.SWAP)
-    scenario = _parse_verify_shift(shift_bp)
     try:
+        scenario = _parse_verify_shift(shift_bp)
         swaps = curve_file.to_swap_curve()
-        base_report = validate(bootstrap(swaps))
-        if not base_report.ok:
-            first = base_report.violations[0]
-            raise ValueError(
-                f"input curve fails validation: {first.kind} at index {first.index}"
-            )
+        base = _require_valid(bootstrap(swaps), "input curve")
         # The checks presuppose a functioning shifted market, so a scenario
         # that breaks the shifted curve is an input error, not a finding.
-        shifted_report = validate(bootstrap(apply_shift(swaps, scenario)))
-        if not shifted_report.ok:
-            first = shifted_report.violations[0]
-            raise ValueError(
-                f"shifted curve fails validation: {first.kind} at index {first.index}"
-            )
-        rows: dict[str, tuple] = {}
-        for name, outcome in _verify_checks(swaps, scenario):
-            rows[name] = ("base", outcome)
+        shifted = _require_valid(shifted_bootstrap(swaps, scenario), "shifted curve")
+        rows = {
+            name: ("base", outcome)
+            for name, outcome in shift_response(base, shifted, scenario)
+        }
         for trial in range(trials):
             rng = Random(f"{seed}:{trial}")
             perturbed = perturb_swap_curve(rng, swaps)
-            if not validate(bootstrap(apply_shift(perturbed, scenario))).ok:
+            shifted = shifted_bootstrap(perturbed, scenario)
+            if not validate(shifted).ok:
                 continue  # scenario breaks this perturbation; not a finding
-            for name, outcome in _verify_checks(perturbed, scenario):
+            for name, outcome in shift_response(bootstrap(perturbed), shifted, scenario):
                 _, prev = rows[name]
                 if prev is not None and not prev.passed:
                     continue  # keep the first failure

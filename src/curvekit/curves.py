@@ -85,6 +85,26 @@ class ZeroCurve:
     def __len__(self) -> int:
         return len(self.tenors)
 
+    def yield_at(self, t: float) -> float:
+        """Zero yield at tenor t: exact pillar or linear interpolation.
+
+        Raises ValueError for a tenor outside [first tenor, last tenor].
+        """
+        tenors, yields = self.tenors, self.yields
+        if t < tenors[0] or t > tenors[-1]:
+            raise ValueError(
+                f"leg {t} outside the curve's tenor range "
+                f"[{tenors[0]}, {tenors[-1]}]"
+            )
+        for i, tt in enumerate(tenors):
+            if tt == t:
+                return yields[i]
+            if tt > t:
+                t0, t1 = tenors[i - 1], tt
+                y0, y1 = yields[i - 1], yields[i]
+                return y0 + (y1 - y0) * (t - t0) / (t1 - t0)
+        return yields[-1]
+
 
 @dataclass(frozen=True)
 class SwapCurve:
@@ -287,6 +307,15 @@ def validate(curve: DiscountCurve, tol: float = MONOTONE_TOL) -> ValidationRepor
                 violations.append(Violation(i, NON_POSITIVE_FORWARD, f))
         prev = p
     return ValidationReport.from_violations(violations)
+
+
+def _require_valid(curve: DiscountCurve, what: str) -> DiscountCurve:
+    """The curve itself, or ValueError naming its first validation finding."""
+    report = validate(curve)
+    if not report.ok:
+        first = report.violations[0]
+        raise ValueError(f"{what} fails validation: {first.kind} at index {first.index}")
+    return curve
 
 
 def _require_integer_grid(tenors: tuple[float, ...], tol: float = 1e-9) -> None:

@@ -24,14 +24,12 @@ import json
 import math
 from dataclasses import dataclass
 
-from .curves import DiscountCurve, SwapCurve, ZeroCurve
+from .curves import DiscountCurve, SwapCurve, ZeroCurve, _require_integer_grid
 
 ZERO = "zero"
 SWAP = "swap"
 DISCOUNT = "discount"
 CURVE_TYPES = (ZERO, SWAP, DISCOUNT)
-
-_GRID_TOL = 1e-9
 
 
 class CurveFileError(ValueError):
@@ -67,12 +65,10 @@ class CurveFile:
         if any(b <= a for a, b in zip(tenors, tenors[1:])) or tenors[0] <= 0:
             raise CurveFileError("tenors must be positive and strictly increasing")
         if self.curve_type in (SWAP, DISCOUNT):
-            for n, t in enumerate(tenors, start=1):
-                if abs(t - n) > _GRID_TOL:
-                    raise CurveFileError(
-                        f"{self.curve_type} tenors must be the consecutive "
-                        f"integers 1..N, got {t} at position {n}"
-                    )
+            try:
+                _require_integer_grid(tenors)
+            except ValueError as exc:
+                raise CurveFileError(f"{self.curve_type} {exc}") from None
 
     @property
     def tenors(self) -> tuple[float, ...]:

@@ -15,6 +15,7 @@ from curvekit.bootstrap import (
     check_annuity_ratio_decreasing,
     check_parallel_brackets,
     check_parallel_discount_drop,
+    shift_response,
     shifted_bootstrap,
     swap_rates_from_discounts,
     tail_diagnostics,
@@ -26,7 +27,8 @@ from curvekit.curves import (
     SwapCurve,
     validate,
 )
-from curvekit.sampling import random_swap_curve
+from curvekit.sampling import random_nondecreasing_swap_curve, random_swap_curve
+from curvekit.shape import ratio_monotonicity
 
 
 def flat(rate: float, n: int) -> SwapCurve:
@@ -254,3 +256,77 @@ class TestShiftResponseChecks:
         ):
             with pytest.raises(ValueError):
                 fn(swaps, -0.01)
+
+
+class TestShiftResponse:
+    ROWS = (
+        "annuity_bound",
+        "bracket_identity",
+        "discount_drop",
+        "annuity_ratio_decreasing",
+        "discount_ratio_monotone",
+        "annuity_triples",
+    )
+
+    @staticmethod
+    def rows(swaps, scenario):
+        base = bootstrap(swaps)
+        shifted = shifted_bootstrap(swaps, scenario)
+        return dict(shift_response(base, shifted, scenario))
+
+    def test_parallel_rise_rows_equal_the_public_checks(self):
+        rng = Random(41)
+        for _ in range(30):
+            swaps = random_nondecreasing_swap_curve(rng, rng.randint(1, 40))
+            y = rng.choice((0.0001, 0.001, 0.01))
+            rows = self.rows(swaps, ShiftScenario.parallel(y))
+            assert tuple(rows) == self.ROWS
+            assert rows["annuity_bound"] == check_annuity_bound(
+                swaps, ShiftScenario.parallel(y)
+            )
+            assert rows["bracket_identity"] == check_parallel_brackets(swaps, y)
+            assert rows["discount_drop"] == check_parallel_discount_drop(swaps, y)
+            assert rows["annuity_ratio_decreasing"] == check_annuity_ratio_decreasing(
+                swaps, y
+            )
+
+    def test_scenarios_outside_a_hypothesis_skip_its_row(self):
+        swaps = flat(0.05, 3)
+        mixed = self.rows(swaps, ShiftScenario.per_tenor((0.01, -0.01, 0.0)))
+        assert [name for name, r in mixed.items() if r is None] == [
+            "annuity_bound",
+            "bracket_identity",
+            "discount_drop",
+            "annuity_ratio_decreasing",
+        ]
+        fall = self.rows(swaps, ShiftScenario.parallel(-0.01))
+        assert fall["annuity_bound"].passed and fall["bracket_identity"] is None
+        assert fall["discount_ratio_monotone"].passed
+        assert fall["annuity_triples"].passed
+        assert self.rows(flat(0.05, 2), ShiftScenario.parallel(0.01))["annuity_triples"] is None
+
+    def test_curves_must_share_one_grid(self):
+        with pytest.raises(ValueError):
+            shift_response(
+                bootstrap(flat(0.05, 4)),
+                bootstrap(flat(0.06, 3)),
+                ShiftScenario.parallel(0.01),
+            )
+
+    def test_wide_triples_inside_the_tolerance_edge_pass(self):
+        # Each consecutive annuity-point margin is about 4e-11, inside the
+        # 1e-9 classification tolerance, while wide triples such as
+        # (1, 2, 10) sum them to a convex margin beyond it.  The consecutive
+        # triples decide the check; the strict ratio check keeps the rise.
+        base = bootstrap(flat(0.05, 20))
+        shifted = DiscountCurve(
+            tuple(p * (0.99 + 5e-11 * n) for n, p in enumerate(base.factors, start=1))
+        )
+        scenario = ShiftScenario.per_tenor(
+            x - 0.05 for x in swap_rates_from_discounts(shifted).rates
+        )
+        rows = dict(shift_response(base, shifted, scenario))
+        assert rows["annuity_triples"].passed
+        ratio = rows["discount_ratio_monotone"]
+        assert ratio == ratio_monotonicity(base, shifted, tol=1e-12)
+        assert not ratio.passed and ratio.first_violation == 1

@@ -381,6 +381,13 @@ class TestScanArbitrage:
         assert cand.butterfly.kind == "swap"
         assert cand.margin > 0
 
+    def test_swap_candidates_carry_the_strict_swap_butterfly(self):
+        rng = Random(47)
+        for _ in range(20):
+            swaps = random_swap_curve(rng, rng.randint(3, 15))
+            for cand in scan_arbitrage(swaps, kind="swap", mode="all_triples"):
+                assert cand.butterfly == swap_butterfly(swaps, cand.indices)
+
     def test_validation_failures_raise(self):
         # negative implied forward between the two tenors
         bad_zero = ZeroCurve((1.0, 2.0), (0.05, 0.02))

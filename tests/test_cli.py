@@ -360,6 +360,83 @@ class TestVerifyCommand:
         path.write_text("tenor_years,rate\n1,0.2\n2,0.001\n")
         assert runner.invoke(main, ["verify", str(path)]).exit_code == 1
 
+    @staticmethod
+    def swap_file(tmp_path, rates):
+        path = tmp_path / "swaps.csv"
+        rows = "".join(f"{n},{x!r}\n" for n, x in enumerate(rates, start=1))
+        path.write_text("tenor_years,rate\n" + rows)
+        return str(path)
+
+    @staticmethod
+    def row(output, name):
+        return next(r for r in output.splitlines() if r.startswith(name + ","))
+
+    def test_tolerance_edge_decided_by_consecutive_triples(self, runner, tmp_path):
+        # The per-tenor shift that takes a flat 5% 20-year curve to factors
+        # p[n] * (0.99 + 5e-11 * n): consecutive annuity-point margins stay
+        # near 4e-11, wide ones such as (1, 2, 10) reach 1.1e-9.
+        base = [1.05**-n for n in range(1, 21)]
+        shifted = [p * (0.99 + 5e-11 * n) for n, p in enumerate(base, start=1)]
+        annuity, bps = 0.0, []
+        for p in shifted:
+            annuity += p
+            bps.append(((1.0 - p) / annuity - 0.05) / 1e-4)
+        assert min(bps) > 0
+        path = self.swap_file(tmp_path, (0.05,) * 20)
+        result = runner.invoke(
+            main, ["verify", path, "--shift-bp", ",".join(map(repr, bps))]
+        )
+        assert result.exit_code == 1
+        assert self.row(result.output, "annuity_triples") == "annuity_triples,PASS,,"
+        ratio = self.row(result.output, "discount_ratio_monotone").split(",")
+        assert ratio[1:3] == ["FAIL", "1"]
+
+    def test_failing_triple_row_names_a_consecutive_triple(self, runner, tmp_path):
+        path = self.swap_file(tmp_path, (0.05,) * 10)
+        shift = ",".join(["100"] * 5 + ["40"] + ["100"] * 4)
+        result = runner.invoke(main, ["verify", path, "--shift-bp", shift])
+        assert result.exit_code == 1
+        fields = self.row(result.output, "annuity_triples").split(",", 3)
+        assert fields[1:3] == ["FAIL", "4"]
+        assert fields[3].startswith("base: triple (4, 5, 6) classifies convex")
+
+
+class TestHostileFlags:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "{flat}", "--shift-bp", "nan"],
+            ["pnl", "{flat}", "--kind", "swap", "--legs", "1,2,3", "--shift-bp", "0:inf:1"],
+            ["validate", "{flat}", "--tol", "nan"],
+            ["scan", "{flat}", "--kind", "swap", "--tol", "nan"],
+        ],
+    )
+    def test_non_finite_flag_is_a_clean_refusal(self, runner, flat, args):
+        result = runner.invoke(main, [a.format(flat=flat) for a in args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["bootstrap"], "tenor_years,rate\n1,0.05\n2.5,0.05\n"),
+            (
+                ["validate"],
+                '{"curve_type": "discount", "points": [{"t": 1, "r": 0.95},'
+                ' {"t": 2, "r": 0.9}, {"t": 4, "r": 0.8}]}',
+            ),
+        ],
+    )
+    def test_off_grid_file_exits_2(self, runner, tmp_path, args, text):
+        path = tmp_path / "offgrid.txt"
+        path.write_text(text)
+        result = runner.invoke(main, args + [str(path)])
+        assert result.exit_code == 2
+        assert "tenors must be the consecutive integers 1..N" in result.stderr
+
 
 class TestDeterminismAcrossCommands:
     def test_repeated_runs_byte_identical(self, runner, flat, bump, zero_kink):

@@ -109,6 +109,23 @@ class TestCurveTypes:
             curve.factors = (1.0,)
 
 
+class TestZeroCurveYieldAt:
+    curve = ZeroCurve((0.5, 2.0, 5.0), (0.02, 0.03, 0.045))
+
+    def test_pillar_is_exact(self):
+        assert self.curve.yield_at(2.0) == 0.03
+        assert self.curve.yield_at(5.0) == 0.045
+
+    def test_mid_interval_is_linear(self):
+        assert self.curve.yield_at(3.5) == 0.03 + (0.045 - 0.03) * 1.5 / 3.0
+        assert self.curve.yield_at(1.25) == pytest.approx(0.025, abs=1e-15)
+
+    def test_out_of_range_ends_raise(self):
+        for t in (0.25, 5.5):
+            with pytest.raises(ValueError, match="outside the curve's tenor range"):
+                self.curve.yield_at(t)
+
+
 class TestForwardRates:
     def test_flat_curve_forwards_equal_rate(self):
         fwd = forward_rates(flat_discounts(0.04, 12))
