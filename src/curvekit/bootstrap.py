@@ -113,9 +113,7 @@ class LimitReport:
     p_tail_vanishing: bool
 
 
-def bootstrap(
-    swaps: SwapCurve, *, strict: bool = False, tol: float = MONOTONE_TOL
-) -> DiscountCurve:
+def bootstrap(swaps: SwapCurve, *, strict: bool = False) -> DiscountCurve:
     """Discount factors implied by par swap rates.
 
     In strict mode the recursion raises :class:`BootstrapError` at the
@@ -131,9 +129,9 @@ def bootstrap(
     for n, x in enumerate(swaps.rates, start=1):
         p = (1.0 - x * annuity) / (1.0 + x)
         if strict:
-            if p <= tol:
+            if p <= MONOTONE_TOL:
                 raise BootstrapError(n, NON_POSITIVE_DISCOUNT, p)
-            if p >= prev - tol:
+            if p >= prev - MONOTONE_TOL:
                 raise BootstrapError(n, NON_DECREASING_DISCOUNT, p)
         factors.append(p)
         annuity += p
@@ -235,9 +233,7 @@ def shift_response(
     ]
 
 
-def check_annuity_bound(
-    swaps: SwapCurve, shift: ShiftScenario, tol: float = MONOTONE_TOL
-) -> CheckResult:
+def check_annuity_bound(swaps: SwapCurve, shift: ShiftScenario) -> CheckResult:
     """Shifting all rates one way bounds every annuity the opposite way.
 
     For a uniformly non-negative shift, each shifted annuity must not
@@ -249,19 +245,15 @@ def check_annuity_bound(
     has_neg = any(a < 0.0 for a in amounts)
     if has_pos and has_neg:
         raise ValueError("annuity bound needs a uniformly signed shift")
-    return _annuity_bound(
-        bootstrap(swaps), shifted_bootstrap(swaps, shift), not has_neg, tol
-    )
+    return _annuity_bound(bootstrap(swaps), shifted_bootstrap(swaps, shift), not has_neg)
 
 
-def _annuity_bound(
-    base: DiscountCurve, shifted: DiscountCurve, upward: bool, tol: float = MONOTONE_TOL
-) -> CheckResult:
+def _annuity_bound(base: DiscountCurve, shifted: DiscountCurve, upward: bool) -> CheckResult:
     for n, (a_base, a_shift) in enumerate(
         zip(base.annuities, shifted.annuities), start=1
     ):
         diff = a_base - a_shift if upward else a_shift - a_base
-        if diff < -tol:
+        if diff < -MONOTONE_TOL:
             side = "above" if upward else "below"
             return CheckResult(
                 "annuity_bound",
@@ -272,9 +264,7 @@ def _annuity_bound(
     return CheckResult("annuity_bound", True)
 
 
-def check_parallel_brackets(
-    swaps: SwapCurve, y: float, tol: float = MONOTONE_TOL
-) -> CheckResult:
+def check_parallel_brackets(swaps: SwapCurve, y: float) -> CheckResult:
     """Decomposition of a parallel rise y into two non-negative brackets.
 
     With b1 = p_n/P_n - p_n(y)/P_n(y) and b2 = 1/P_n(y) - 1/P_n, each year
@@ -285,30 +275,28 @@ def check_parallel_brackets(
     if y <= 0.0:
         raise ValueError("bracket decomposition is defined for a rise y > 0")
     return _parallel_brackets(
-        bootstrap(swaps), shifted_bootstrap(swaps, ShiftScenario.parallel(y)), y, tol
+        bootstrap(swaps), shifted_bootstrap(swaps, ShiftScenario.parallel(y)), y
     )
 
 
-def _parallel_brackets(
-    base: DiscountCurve, shifted: DiscountCurve, y: float, tol: float = MONOTONE_TOL
-) -> CheckResult:
+def _parallel_brackets(base: DiscountCurve, shifted: DiscountCurve, y: float) -> CheckResult:
     for n, (p_base, a_base, p_shift, a_shift) in enumerate(
         zip(base.factors, base.annuities, shifted.factors, shifted.annuities), start=1
     ):
         b1 = p_base / a_base - p_shift / a_shift
         b2 = 1.0 / a_shift - 1.0 / a_base
-        if b1 < -tol or b1 > y + tol:
+        if b1 < -MONOTONE_TOL or b1 > y + MONOTONE_TOL:
             return CheckResult(
                 "bracket_identity", False, n, f"share bracket {b1:.3e} outside [0, {y}]"
             )
-        if b2 < -tol or b2 > y + tol:
+        if b2 < -MONOTONE_TOL or b2 > y + MONOTONE_TOL:
             return CheckResult(
                 "bracket_identity",
                 False,
                 n,
                 f"annuity bracket {b2:.3e} outside [0, {y}]",
             )
-        if abs(b1 + b2 - y) > tol:
+        if abs(b1 + b2 - y) > MONOTONE_TOL:
             return CheckResult(
                 "bracket_identity",
                 False,

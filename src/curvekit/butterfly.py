@@ -65,10 +65,9 @@ class PnlBreakdown:
 
 @dataclass(frozen=True)
 class NonParallelMove:
-    """Per-leg rate moves (a1, a2, a3) together with a horizon in years."""
+    """Per-leg rate moves (a1, a2, a3)."""
 
     movements: tuple[float, float, float]
-    horizon: float = 0.0
 
     def __post_init__(self) -> None:
         movements = tuple(float(a) for a in self.movements)
@@ -77,8 +76,6 @@ class NonParallelMove:
         for a in movements:
             if not math.isfinite(a):
                 raise ValueError("movements must be finite")
-        if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
-            raise ValueError("horizon must be a non-negative number of years")
         object.__setattr__(self, "movements", movements)
 
 
@@ -183,13 +180,11 @@ def nonparallel_safe(
     maturities: tuple[float, float, float],
     yields: tuple[float, float, float],
     moves: tuple[float, float, float],
-    horizon: float = 0.0,
-    tol: float = 1e-12,
 ) -> SafetyCheck:
     """Evaluate both safety conditions for per-leg moves.
 
     Passing needs (in the raw weight scale, w2-normalizable by the
-    caller):
+    caller), each to within 1e-12:
 
     - shifted-yield condition: w1*(y1+a1) + w3*(y3+a3) >= w2*(y2+a2);
     - instantaneous condition: w1*a1*T1 + w3*a3*T3 <= w2*a2*T2.
@@ -208,13 +203,11 @@ def nonparallel_safe(
                 f"shifted yield {y + a} outside the supported range "
                 f"({RATE_LO}, {RATE_HI})"
             )
-    if horizon < 0.0:
-        raise ValueError("horizon must be non-negative")
     yield_margin = w1 * ((y1 + a1) - (y2 + a2)) + w3 * ((y3 + a3) - (y2 + a2))
     instant_margin = w2 * a2 * t2 - w1 * a1 * t1 - w3 * a3 * t3
     binding = min(yield_margin, instant_margin)
     return SafetyCheck(
-        passed=(yield_margin >= -tol and instant_margin >= -tol),
+        passed=(yield_margin >= -1e-12 and instant_margin >= -1e-12),
         shifted_yield_margin=yield_margin,
         instantaneous_margin=instant_margin,
         binding_margin=binding,
@@ -293,7 +286,6 @@ def scan_arbitrage(
     kind: str = ZERO_BOND,
     mode: str = CONSECUTIVE,
     tol: float = CLASSIFY_TOL,
-    allow_large: bool = False,
 ) -> tuple[ArbitrageCandidate, ...]:
     """List the convex triples of a curve, ranked by margin.
 
@@ -309,9 +301,11 @@ def scan_arbitrage(
     if kind == ZERO_BOND:
         if not isinstance(curve, ZeroCurve):
             raise ValueError("zero_bond scan expects a ZeroCurve")
-        prices = [(1.0 + y) ** (-t) for t, y in zip(curve.tenors, curve.yields)]
         prev = 1.0
-        for pos, p in enumerate(prices, start=1):
+        for pos, (t, y) in enumerate(zip(curve.tenors, curve.yields), start=1):
+            # Checked point by point, so a curve is refused at its first
+            # non-positive yield before a later tenor's price can overflow.
+            p = (1.0 + y) ** (-t)
             if p >= prev:
                 raise ValueError(
                     f"curve fails validation: zero price does not decrease at "
@@ -327,7 +321,7 @@ def scan_arbitrage(
     else:
         raise ValueError(f"unknown butterfly kind {kind!r}")
 
-    report = scan_curve_shape(points, mode=mode, tol=tol, allow_large=allow_large)
+    report = scan_curve_shape(points, mode=mode, tol=tol)
     candidates = []
     for i, j, k_, cls in report.triples:
         if cls.verdict != CONVEX:

@@ -6,10 +6,12 @@ Commands read a curve file (delimited or structured JSON, see
 at this boundary; everything below works in decimals.  Numeric output is
 formatted to 12 significant digits so values round-trip at 1e-12.
 
-Exit codes: 0 success, 1 domain or validation failure, 2 input parse
-failure.  Every command is deterministic given its inputs and flags;
-randomized verification trials derive their generators from the --seed
-value plus the trial index, never from ambient randomness.
+Exit codes: 0 success, 1 domain or validation failure or unwritable
+output, 2 unreadable or malformed input.  :class:`_ExitCodes` maps
+refusals to them once, for every command.  Every command is
+deterministic given its inputs and flags; randomized verification trials
+derive their generators from the --seed value plus the trial index,
+never from ambient randomness.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .bootstrap import ShiftScenario, bootstrap, shift_response, shifted_bootstr
 from .butterfly import (
     SWAP,
     ZERO_BOND,
-    NonParallelMove,
     nonparallel_safe,
     nonparallel_weights,
     scan_arbitrage,
@@ -47,6 +48,10 @@ from .shape import ALL_TRIPLES, CONSECUTIVE
 
 BP = 1e-4
 
+# Rows of the largest --shift-bp grid pnl builds; larger grids are refused
+# before any row is allocated.
+MAX_SHIFT_ROWS = 100_001
+
 
 def _fmt(x: float) -> str:
     if x == 0.0:
@@ -58,26 +63,17 @@ def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _require_finite(flag: str, *values: float) -> None:
     if not all(math.isfinite(v) for v in values):
-        _fail(f"{flag} must be finite", 1)
-
-
-def _read(path: str, default_type: str | None):
-    try:
-        return curve_io.read_curve_file(path, default_type)
-    except curve_io.CurveFileError as exc:
-        _fail(str(exc), 2)
+        raise ValueError(f"{flag} must be finite")
 
 
 def _as_discounts(curve_file: curve_io.CurveFile) -> DiscountCurve:
@@ -92,14 +88,15 @@ def _as_discounts(curve_file: curve_io.CurveFile) -> DiscountCurve:
 def _parse_triple(text: str, what: str, as_int: bool = False) -> tuple:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
-        _fail(f"{what} needs exactly three comma-separated values, got {text!r}", 1)
+        raise ValueError(f"{what} needs exactly three comma-separated values, got {text!r}")
     try:
         values = tuple(float(p) for p in parts)
     except ValueError:
-        _fail(f"could not parse {what} from {text!r}", 1)
+        raise ValueError(f"could not parse {what} from {text!r}") from None
+    _require_finite(what, *values)
     if as_int:
         if any(v != int(v) for v in values):
-            _fail(f"{what} must be whole grid years, got {text!r}", 1)
+            raise ValueError(f"{what} must be whole grid years, got {text!r}")
         return tuple(int(v) for v in values)
     return values
 
@@ -108,19 +105,37 @@ def _parse_shift_range(text: str) -> list[float]:
     """Parse 'lo:hi:step' in basis points into an inclusive list."""
     parts = text.split(":")
     if len(parts) != 3:
-        _fail(f"--shift-bp must look like lo:hi:step, got {text!r}", 1)
+        raise ValueError(f"--shift-bp must look like lo:hi:step, got {text!r}")
     try:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
-        _fail(f"could not parse --shift-bp from {text!r}", 1)
+        raise ValueError(f"could not parse --shift-bp from {text!r}") from None
     _require_finite("--shift-bp", lo, hi, step)
     if step <= 0 or hi < lo:
-        _fail("--shift-bp needs step > 0 and hi >= lo", 1)
+        raise ValueError("--shift-bp needs step > 0 and hi >= lo")
+    if not (hi - lo) / step + 1 <= MAX_SHIFT_ROWS:
+        raise ValueError(f"--shift-bp grid exceeds {MAX_SHIFT_ROWS} rows")
     count = int(round((hi - lo) / step)) + 1
     return [lo + i * step for i in range(count)]
 
 
-@click.group()
+class _ExitCodes(click.Group):
+    """The exit-code contract, decided in one place for every command.
+
+    A curve file that cannot be read or parsed exits 2; any other refusal
+    raised by a command or the library (ValueError, OverflowError) exits
+    1.  Either way stderr carries one ``error:`` line and no traceback.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OverflowError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2 if isinstance(exc, curve_io.CurveFileError) else 1)
+
+
+@click.group(cls=_ExitCodes)
 def main() -> None:
     """Yield-curve analytics: bootstrap, conversions, shape and butterflies."""
 
@@ -131,12 +146,8 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_bootstrap(path: str, strict: bool, out: str | None) -> None:
     """Swap rates to discount factors and annuities."""
-    curve_file = _read(path, curve_io.SWAP)
-    try:
-        swaps = curve_file.to_swap_curve()
-        curve = bootstrap(swaps, strict=strict)
-    except ValueError as exc:
-        _fail(str(exc), 1)
+    swaps = curve_io.read_curve_file(path, curve_io.SWAP).to_swap_curve()
+    curve = bootstrap(swaps, strict=strict)
     lines = ["n,swap_rate,discount_factor,annuity"]
     for n, (x, p, a) in enumerate(
         zip(swaps.rates, curve.factors, curve.annuities), start=1
@@ -157,11 +168,7 @@ def cmd_bootstrap(path: str, strict: bool, out: str | None) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_par(path: str, curve_type: str, out: str | None) -> None:
     """Par rates of a curve."""
-    curve_file = _read(path, curve_type)
-    try:
-        rates = par_rates(_as_discounts(curve_file))
-    except ValueError as exc:
-        _fail(str(exc), 1)
+    rates = par_rates(_as_discounts(curve_io.read_curve_file(path, curve_type)))
     lines = ["n,par_rate"]
     for n, s in enumerate(rates.rates, start=1):
         lines.append(f"{n},{_fmt(s)}")
@@ -179,11 +186,7 @@ def cmd_par(path: str, curve_type: str, out: str | None) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_forwards(path: str, curve_type: str, out: str | None) -> None:
     """One-year forward rates; interval i covers years (i, i+1)."""
-    curve_file = _read(path, curve_type)
-    try:
-        fwd = forward_rates(_as_discounts(curve_file))
-    except ValueError as exc:
-        _fail(str(exc), 1)
+    fwd = forward_rates(_as_discounts(curve_io.read_curve_file(path, curve_type)))
     lines = ["interval_start,forward_rate"]
     for i, f in enumerate(fwd.forwards):
         lines.append(f"{i},{_fmt(f)}")
@@ -202,12 +205,9 @@ def cmd_forwards(path: str, curve_type: str, out: str | None) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_validate(path: str, curve_type: str, tol: float, out: str | None) -> None:
     """No-arbitrage violations of a curve's discount factors; exit 1 if any."""
-    curve_file = _read(path, curve_type)
+    curve_file = curve_io.read_curve_file(path, curve_type)
     _require_finite("--tol", tol)
-    try:
-        report = validate(_as_discounts(curve_file), tol=tol)
-    except ValueError as exc:
-        _fail(str(exc), 1)
+    report = validate(_as_discounts(curve_file), tol=tol)
     lines = ["index,kind,value"]
     for v in report.violations:
         lines.append(f"{v.index},{v.kind},{_fmt(v.value)}")
@@ -236,18 +236,15 @@ def cmd_validate(path: str, curve_type: str, tol: float, out: str | None) -> Non
 def cmd_scan(path: str, kind: str, mode: str, tol: float, out: str | None) -> None:
     """Convex triples of a curve, largest margin first."""
     file_type = curve_io.ZERO if kind == "zero" else curve_io.SWAP
-    curve_file = _read(path, file_type)
+    curve_file = curve_io.read_curve_file(path, file_type)
     _require_finite("--tol", tol)
     scan_mode = CONSECUTIVE if mode == "consecutive" else ALL_TRIPLES
-    try:
-        if kind == "zero":
-            curve = curve_file.to_zero_curve()
-            candidates = scan_arbitrage(curve, ZERO_BOND, scan_mode, tol=tol)
-        else:
-            curve = curve_file.to_swap_curve()
-            candidates = scan_arbitrage(curve, SWAP, scan_mode, tol=tol)
-    except ValueError as exc:
-        _fail(str(exc), 1)
+    if kind == "zero":
+        curve = curve_file.to_zero_curve()
+        candidates = scan_arbitrage(curve, ZERO_BOND, scan_mode, tol=tol)
+    else:
+        curve = curve_file.to_swap_curve()
+        candidates = scan_arbitrage(curve, SWAP, scan_mode, tol=tol)
     lines = ["leg1,leg2,leg3,margin,w1,w2,w3"]
     for cand in candidates:
         l1, l2, l3 = cand.legs
@@ -264,63 +261,55 @@ def cmd_scan(path: str, kind: str, mode: str, tol: float, out: str | None) -> No
 @click.option("--kind", type=click.Choice(["zero", "swap"]), default="zero", show_default=True)
 @click.option("--legs", required=True, help="Three maturities (zero) or grid years (swap).")
 @click.option("--moves", default=None, help="Per-leg moves in bp for the non-parallel weights.")
-@click.option("--horizon", type=float, default=0.0, show_default=True)
+# Accepted for scripts that still pass it; no output depends on it.
+@click.option("--horizon", type=float, hidden=True, expose_value=False)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cmd_butterfly(
-    path: str, kind: str, legs: str, moves: str | None, horizon: float, out: str | None
-) -> None:
+def cmd_butterfly(path: str, kind: str, legs: str, moves: str | None, out: str | None) -> None:
     """Weights of the zero-cost butterfly at three legs."""
     file_type = curve_io.ZERO if kind == "zero" else curve_io.SWAP
-    curve_file = _read(path, file_type)
-    try:
-        if kind == "swap":
-            if moves is not None:
-                raise ValueError("--moves applies to zero-bond butterflies only")
-            idx = _parse_triple(legs, "--legs", as_int=True)
-            fly = swap_butterfly(curve_file.to_swap_curve(), idx)
-            header = "kind,leg1,leg2,leg3,w1,w2,w3,annuity1,annuity2,annuity3"
-            w1, w2, w3 = fly.weights
-            a1, a2, a3 = fly.base_annuities
-            row = (
-                f"swap,{idx[0]},{idx[1]},{idx[2]},"
-                f"{_fmt(w1)},{_fmt(w2)},{_fmt(w3)},{_fmt(a1)},{_fmt(a2)},{_fmt(a3)}"
-            )
-            _emit([header, row], out)
-            return
-        t1, t2, t3 = _parse_triple(legs, "--legs")
-        fly = zero_butterfly(t1, t2, t3)
+    curve_file = curve_io.read_curve_file(path, file_type)
+    if kind == "swap":
+        if moves is not None:
+            raise ValueError("--moves applies to zero-bond butterflies only")
+        idx = _parse_triple(legs, "--legs", as_int=True)
+        fly = swap_butterfly(curve_file.to_swap_curve(), idx)
+        header = "kind,leg1,leg2,leg3,w1,w2,w3,annuity1,annuity2,annuity3"
         w1, w2, w3 = fly.weights
-        if moves is None:
-            header = "kind,leg1,leg2,leg3,w1,w2,w3"
-            row = (
-                f"zero_bond,{_fmt(t1)},{_fmt(t2)},{_fmt(t3)},"
-                f"{_fmt(w1)},{_fmt(w2)},{_fmt(w3)}"
-            )
-            _emit([header, row], out)
-            return
-        zero = curve_file.to_zero_curve()
-        yields = tuple(zero.yield_at(t) for t in (t1, t2, t3))
-        move = NonParallelMove(
-            tuple(m * BP for m in _parse_triple(moves, "--moves")), horizon
-        )
-        npw = nonparallel_weights(move.movements, (t1, t2, t3))
-        safety = nonparallel_safe(
-            npw, (t1, t2, t3), yields, move.movements, move.horizon
-        )
-        header = (
-            "kind,leg1,leg2,leg3,w1,w2,w3,npw1,npw2,npw3,"
-            "shifted_yield_margin,instantaneous_margin,safe"
-        )
+        a1, a2, a3 = fly.base_annuities
         row = (
-            f"zero_bond,{_fmt(t1)},{_fmt(t2)},{_fmt(t3)},"
-            f"{_fmt(w1)},{_fmt(w2)},{_fmt(w3)},"
-            f"{_fmt(npw[0])},{_fmt(npw[1])},{_fmt(npw[2])},"
-            f"{_fmt(safety.shifted_yield_margin)},{_fmt(safety.instantaneous_margin)},"
-            f"{'true' if safety.passed else 'false'}"
+            f"swap,{idx[0]},{idx[1]},{idx[2]},"
+            f"{_fmt(w1)},{_fmt(w2)},{_fmt(w3)},{_fmt(a1)},{_fmt(a2)},{_fmt(a3)}"
         )
         _emit([header, row], out)
-    except ValueError as exc:
-        _fail(str(exc), 1)
+        return
+    t1, t2, t3 = _parse_triple(legs, "--legs")
+    fly = zero_butterfly(t1, t2, t3)
+    w1, w2, w3 = fly.weights
+    if moves is None:
+        header = "kind,leg1,leg2,leg3,w1,w2,w3"
+        row = (
+            f"zero_bond,{_fmt(t1)},{_fmt(t2)},{_fmt(t3)},"
+            f"{_fmt(w1)},{_fmt(w2)},{_fmt(w3)}"
+        )
+        _emit([header, row], out)
+        return
+    zero = curve_file.to_zero_curve()
+    yields = tuple(zero.yield_at(t) for t in (t1, t2, t3))
+    movements = tuple(m * BP for m in _parse_triple(moves, "--moves"))
+    npw = nonparallel_weights(movements, (t1, t2, t3))
+    safety = nonparallel_safe(npw, (t1, t2, t3), yields, movements)
+    header = (
+        "kind,leg1,leg2,leg3,w1,w2,w3,npw1,npw2,npw3,"
+        "shifted_yield_margin,instantaneous_margin,safe"
+    )
+    row = (
+        f"zero_bond,{_fmt(t1)},{_fmt(t2)},{_fmt(t3)},"
+        f"{_fmt(w1)},{_fmt(w2)},{_fmt(w3)},"
+        f"{_fmt(npw[0])},{_fmt(npw[1])},{_fmt(npw[2])},"
+        f"{_fmt(safety.shifted_yield_margin)},{_fmt(safety.instantaneous_margin)},"
+        f"{'true' if safety.passed else 'false'}"
+    )
+    _emit([header, row], out)
 
 
 @main.command("pnl")
@@ -335,31 +324,28 @@ def cmd_pnl(
 ) -> None:
     """Butterfly P&L over a grid of parallel shifts."""
     file_type = curve_io.ZERO if kind == "zero" else curve_io.SWAP
-    curve_file = _read(path, file_type)
+    curve_file = curve_io.read_curve_file(path, file_type)
     shifts = _parse_shift_range(shift_bp)
-    try:
-        if kind == "zero":
-            zero = curve_file.to_zero_curve()
-            t1, t2, t3 = _parse_triple(legs, "--legs")
-            fly = zero_butterfly(t1, t2, t3)
-            yields = tuple(zero.yield_at(t) for t in (t1, t2, t3))
-            lines = ["shift_bp,horizon,value"]
-            for bp in shifts:
-                value = zero_butterfly_pnl(fly, yields, bp * BP, horizon)
-                lines.append(f"{_fmt(bp)},{_fmt(horizon)},{_fmt(value)}")
-        else:
-            swaps = curve_file.to_swap_curve()
-            idx = _parse_triple(legs, "--legs", as_int=True)
-            fly = swap_butterfly(swaps, idx)
-            lines = ["shift_bp,carry,mark_to_market,total"]
-            for bp in shifts:
-                pnl = swap_butterfly_pnl(fly, swaps, bp * BP, horizon)
-                lines.append(
-                    f"{_fmt(bp)},{_fmt(pnl.carry)},"
-                    f"{_fmt(pnl.mark_to_market)},{_fmt(pnl.total)}"
-                )
-    except ValueError as exc:
-        _fail(str(exc), 1)
+    if kind == "zero":
+        zero = curve_file.to_zero_curve()
+        t1, t2, t3 = _parse_triple(legs, "--legs")
+        fly = zero_butterfly(t1, t2, t3)
+        yields = tuple(zero.yield_at(t) for t in (t1, t2, t3))
+        lines = ["shift_bp,horizon,value"]
+        for bp in shifts:
+            value = zero_butterfly_pnl(fly, yields, bp * BP, horizon)
+            lines.append(f"{_fmt(bp)},{_fmt(horizon)},{_fmt(value)}")
+    else:
+        swaps = curve_file.to_swap_curve()
+        idx = _parse_triple(legs, "--legs", as_int=True)
+        fly = swap_butterfly(swaps, idx)
+        lines = ["shift_bp,carry,mark_to_market,total"]
+        for bp in shifts:
+            pnl = swap_butterfly_pnl(fly, swaps, bp * BP, horizon)
+            lines.append(
+                f"{_fmt(bp)},{_fmt(pnl.carry)},"
+                f"{_fmt(pnl.mark_to_market)},{_fmt(pnl.total)}"
+            )
     _emit(lines, out)
 
 
@@ -368,7 +354,7 @@ def _parse_verify_shift(text: str) -> ShiftScenario:
     try:
         values = [float(p) * BP for p in parts]
     except ValueError:
-        _fail(f"could not parse --shift-bp from {text!r}", 1)
+        raise ValueError(f"could not parse --shift-bp from {text!r}") from None
     if len(values) == 1:
         return ShiftScenario.parallel(values[0])
     return ShiftScenario.per_tenor(values)
@@ -388,32 +374,29 @@ def _parse_verify_shift(text: str) -> ShiftScenario:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_verify(path: str, shift_bp: str, trials: int, seed: int, out: str | None) -> None:
     """Shift-response checks on the file's curve and seeded perturbations."""
-    curve_file = _read(path, curve_io.SWAP)
-    try:
-        scenario = _parse_verify_shift(shift_bp)
-        swaps = curve_file.to_swap_curve()
-        base = _require_valid(bootstrap(swaps), "input curve")
-        # The checks presuppose a functioning shifted market, so a scenario
-        # that breaks the shifted curve is an input error, not a finding.
-        shifted = _require_valid(shifted_bootstrap(swaps, scenario), "shifted curve")
-        rows = {
-            name: ("base", outcome)
-            for name, outcome in shift_response(base, shifted, scenario)
-        }
-        for trial in range(trials):
-            rng = Random(f"{seed}:{trial}")
-            perturbed = perturb_swap_curve(rng, swaps)
-            shifted = shifted_bootstrap(perturbed, scenario)
-            if not validate(shifted).ok:
-                continue  # scenario breaks this perturbation; not a finding
-            for name, outcome in shift_response(bootstrap(perturbed), shifted, scenario):
-                _, prev = rows[name]
-                if prev is not None and not prev.passed:
-                    continue  # keep the first failure
-                if outcome is not None and not outcome.passed:
-                    rows[name] = (f"trial {trial}", outcome)
-    except ValueError as exc:
-        _fail(str(exc), 1)
+    curve_file = curve_io.read_curve_file(path, curve_io.SWAP)
+    scenario = _parse_verify_shift(shift_bp)
+    swaps = curve_file.to_swap_curve()
+    base = _require_valid(bootstrap(swaps), "input curve")
+    # The checks presuppose a functioning shifted market, so a scenario
+    # that breaks the shifted curve is an input error, not a finding.
+    shifted = _require_valid(shifted_bootstrap(swaps, scenario), "shifted curve")
+    rows = {
+        name: ("base", outcome)
+        for name, outcome in shift_response(base, shifted, scenario)
+    }
+    for trial in range(trials):
+        rng = Random(f"{seed}:{trial}")
+        perturbed = perturb_swap_curve(rng, swaps)
+        shifted = shifted_bootstrap(perturbed, scenario)
+        if not validate(shifted).ok:
+            continue  # scenario breaks this perturbation; not a finding
+        for name, outcome in shift_response(bootstrap(perturbed), shifted, scenario):
+            _, prev = rows[name]
+            if prev is not None and not prev.passed:
+                continue  # keep the first failure
+            if outcome is not None and not outcome.passed:
+                rows[name] = (f"trial {trial}", outcome)
     lines = ["check,status,first_violation,detail"]
     failed = False
     for name, (label, outcome) in rows.items():

@@ -88,10 +88,11 @@ class ZeroCurve:
     def yield_at(self, t: float) -> float:
         """Zero yield at tenor t: exact pillar or linear interpolation.
 
-        Raises ValueError for a tenor outside [first tenor, last tenor].
+        Raises ValueError for a tenor outside [first tenor, last tenor],
+        NaN included.
         """
         tenors, yields = self.tenors, self.yields
-        if t < tenors[0] or t > tenors[-1]:
+        if not tenors[0] <= t <= tenors[-1]:
             raise ValueError(
                 f"leg {t} outside the curve's tenor range "
                 f"[{tenors[0]}, {tenors[-1]}]"

@@ -163,7 +163,10 @@ def read_curve_file(path: str, default_type: str | None = None) -> CurveFile:
     file carries its own and ignores the default.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CurveFileError(f"not UTF-8 text at byte {exc.start}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return parse_structured(text)

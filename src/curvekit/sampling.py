@@ -63,18 +63,16 @@ def random_nondecreasing_swap_curve(
     return swap_rates_from_discounts(DiscountCurve(tuple(factors)))
 
 
-def perturb_swap_curve(
-    rng: Random, swaps: SwapCurve, scale: float = 0.25
-) -> SwapCurve:
+def perturb_swap_curve(rng: Random, swaps: SwapCurve) -> SwapCurve:
     """Jitter a valid curve multiplicatively in forward space.
 
-    Forwards are scaled by exp(u), u uniform in [-scale, scale], which
+    Forwards are scaled by exp(u), u uniform in [-0.25, 0.25], which
     keeps them positive and therefore keeps the perturbed curve valid.
     """
     forwards = forward_rates(bootstrap(swaps)).forwards
     factors = []
     acc = 1.0
     for f in forwards:
-        acc /= 1.0 + f * math.exp(rng.uniform(-scale, scale))
+        acc /= 1.0 + f * math.exp(rng.uniform(-0.25, 0.25))
         factors.append(acc)
     return swap_rates_from_discounts(DiscountCurve(tuple(factors)))

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .curves import CheckResult, DiscountCurve
+from .curves import MONOTONE_TOL, CheckResult, DiscountCurve
 
 CONVEX = "convex"
 CONCAVE = "concave"
@@ -43,7 +43,7 @@ CONVEX_SOMEWHERE = "convex_somewhere"
 # collinear rather than a real kink.
 CLASSIFY_TOL = 1e-9
 
-# all-triples scans are O(N^3); beyond this require an explicit opt-in.
+# all-triples scans are O(N^3); longer point sequences are refused.
 ALL_TRIPLES_CAP = 200
 
 
@@ -88,16 +88,12 @@ def classify_triple(points, tol: float = CLASSIFY_TOL) -> TripleClassification:
 
 
 def scan_curve_shape(
-    points,
-    mode: str = CONSECUTIVE,
-    tol: float = CLASSIFY_TOL,
-    allow_large: bool = False,
+    points, mode: str = CONSECUTIVE, tol: float = CLASSIFY_TOL
 ) -> ShapeReport:
     """Classify the requested triples of a point sequence.
 
     ``consecutive`` scans the N-2 windows (i, i+1, i+2); ``all_triples``
-    scans every i < j < k and refuses more than ``ALL_TRIPLES_CAP`` points
-    unless ``allow_large`` is set.
+    scans every i < j < k and refuses more than ``ALL_TRIPLES_CAP`` points.
     """
     pts = [(float(x), float(v)) for x, v in points]
     if len(pts) < 3:
@@ -108,10 +104,10 @@ def scan_curve_shape(
     if mode == CONSECUTIVE:
         index_triples = [(i, i + 1, i + 2) for i in range(len(pts) - 2)]
     elif mode == ALL_TRIPLES:
-        if len(pts) > ALL_TRIPLES_CAP and not allow_large:
+        if len(pts) > ALL_TRIPLES_CAP:
             raise ValueError(
                 f"all-triples scan over {len(pts)} points exceeds the cap of "
-                f"{ALL_TRIPLES_CAP}; pass allow_large=True to override"
+                f"{ALL_TRIPLES_CAP}"
             )
         index_triples = list(combinations(range(len(pts)), 3))
     else:
@@ -129,7 +125,6 @@ def annuity_point_classification(
     base: DiscountCurve,
     shifted: DiscountCurve,
     indices: tuple[int, int, int],
-    tol: float = CLASSIFY_TOL,
 ) -> TripleClassification:
     """Classify the (base annuity, shifted annuity) points at three years.
 
@@ -144,13 +139,12 @@ def annuity_point_classification(
     pts = tuple(
         (base.annuities[i - 1], shifted.annuities[i - 1]) for i in (n, m, k)
     )
-    return classify_triple(pts, tol)
+    return classify_triple(pts)
 
 
 def ratio_monotonicity(
     base: DiscountCurve,
     shifted: DiscountCurve,
-    tol: float = 1e-12,
     direction: str = "non_increasing",
 ) -> CheckResult:
     """Check the per-year ratio shifted/base of discount factors is monotone.
@@ -170,7 +164,10 @@ def ratio_monotonicity(
         raise ValueError(f"unknown direction {direction!r}")
     ratios = [s / b for s, b in zip(shifted.factors, base.factors)]
     for n, (r, r_next) in enumerate(zip(ratios, ratios[1:]), start=1):
-        bad = r_next > r + tol if direction == "non_increasing" else r_next < r - tol
+        if direction == "non_increasing":
+            bad = r_next > r + MONOTONE_TOL
+        else:
+            bad = r_next < r - MONOTONE_TOL
         if bad:
             return CheckResult(
                 "discount_ratio_monotone",

@@ -197,14 +197,12 @@ class TestNonparallelSafe:
 
 class TestNonParallelMove:
     def test_validation(self):
-        move = NonParallelMove((0.01, 0.0, -0.01), horizon=0.5)
+        move = NonParallelMove((0.01, 0.0, -0.01))
         assert move.movements == (0.01, 0.0, -0.01)
         with pytest.raises(ValueError):
-            NonParallelMove((0.01, 0.02), horizon=0.0)
+            NonParallelMove((0.01, 0.02))
         with pytest.raises(ValueError):
             NonParallelMove((0.01, 0.02, float("inf")))
-        with pytest.raises(ValueError):
-            NonParallelMove((0.01, 0.02, 0.03), horizon=-1.0)
 
 
 class TestSwapButterfly:

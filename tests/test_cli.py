@@ -10,6 +10,8 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvekit.cli import main
 
@@ -25,6 +27,14 @@ def fmt(x: float) -> str:
     if x == 0.0:
         x = 0.0
     return format(x, ".12g")
+
+
+def assert_clean_refusal(result, code):
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.fixture()
@@ -409,15 +419,47 @@ class TestHostileFlags:
             ["pnl", "{flat}", "--kind", "swap", "--legs", "1,2,3", "--shift-bp", "0:inf:1"],
             ["validate", "{flat}", "--tol", "nan"],
             ["scan", "{flat}", "--kind", "swap", "--tol", "nan"],
+            ["butterfly", "{flat}", "--legs", "1,2,inf"],
+            ["butterfly", "{flat}", "--kind", "swap", "--legs", "1,2,inf"],
+            ["pnl", "{flat}", "--kind", "swap", "--legs", "1,2,inf", "--shift-bp", "0:0:1"],
         ],
     )
     def test_non_finite_flag_is_a_clean_refusal(self, runner, flat, args):
         result = runner.invoke(main, [a.format(flat=flat) for a in args])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert result.stdout == ""
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert_clean_refusal(result, 1)
+
+    @pytest.mark.parametrize("grid", ["0:1e300:1e290", "0:100001:1", "0:1:1e-300"])
+    def test_shift_grid_beyond_the_row_cap_is_refused(self, runner, flat, grid):
+        args = ["pnl", flat, "--kind", "swap", "--legs", "1,2,3", "--shift-bp", grid]
+        result = runner.invoke(main, args)
+        assert_clean_refusal(result, 1)
+        assert "exceeds 100001 rows" in result.stderr
+
+    @pytest.mark.parametrize(
+        "text, args, code",
+        [
+            (b"tenor_years,rate\n1,0.02\xff", ["bootstrap", "{path}"], 2),
+            (FLAT_CSV.encode(), ["bootstrap", "{path}", "--out", "{missing}/table.csv"], 1),
+            (
+                b'{"curve_type": "zero", "points": [{"t": 1, "r": -0.4},'
+                b' {"t": 2, "r": -0.4}, {"t": 100000, "r": -0.4}]}',
+                ["scan", "{path}"],
+                1,
+            ),
+            (
+                ZERO_KINK_JSON.encode(),
+                ["pnl", "{path}", "--legs", "1,2,3", "--shift-bp", "-1e7:-1e7:1"],
+                1,
+            ),
+        ],
+        ids=["non-utf8-file", "out-into-missing-dir", "zero-price-overflow", "pnl-exp-overflow"],
+    )
+    def test_file_and_arithmetic_failures(self, runner, tmp_path, text, args, code):
+        path = tmp_path / "curve.txt"
+        path.write_bytes(text)
+        fields = {"path": str(path), "missing": str(tmp_path / "missing")}
+        result = runner.invoke(main, [a.format(**fields) for a in args])
+        assert_clean_refusal(result, code)
 
     @pytest.mark.parametrize(
         "args, text",
@@ -436,6 +478,78 @@ class TestHostileFlags:
         result = runner.invoke(main, args + [str(path)])
         assert result.exit_code == 2
         assert "tenors must be the consecutive integers 1..N" in result.stderr
+
+
+# Flag values for the CLI property: hostile strings every free-form flag may
+# get, and per command the flags it takes with a few sane values, so that
+# draws also reach the code behind the parsers.  Choice flags draw only
+# their choices; --out is left out, since a drawn value would name a file
+# to write.
+HOSTILE = ["nan", "inf", "-1", "1e308", "", "x", "1,2", "1,2,inf", "0:inf:1", "0:1e300:1e290"]
+CHOICE_FLAGS = {"--curve-type", "--kind", "--mode"}
+CURVE_TYPES = ["swap", "zero", "discount"]
+FUZZ_COMMANDS = {
+    "bootstrap": {"--strict": None},
+    "par": {"--curve-type": CURVE_TYPES},
+    "forwards": {"--curve-type": CURVE_TYPES},
+    "validate": {"--curve-type": CURVE_TYPES, "--tol": ["1e-12"]},
+    "scan": {"--kind": ["zero", "swap"], "--mode": ["consecutive", "all"], "--tol": ["1e-9"]},
+    "butterfly": {
+        "--kind": ["zero", "swap"],
+        "--legs": ["1,2,3", "1,1.5,3"],
+        "--moves": ["40,50,60"],
+        "--horizon": ["0.5"],
+    },
+    "pnl": {
+        "--kind": ["zero", "swap"],
+        "--legs": ["1,2,3", "1,2.5,4"],
+        "--shift-bp": ["-100:100:50"],
+        "--horizon": ["0.5"],
+    },
+    "verify": {"--shift-bp": ["100", "-60", "10,20,30,40"], "--trials": ["2"], "--seed": ["7"]},
+}
+FUZZ_FILES = {
+    "swap.csv": b"tenor_years,rate\n1,0.02\n2,0.025\n3,0.03\n4,0.032\n",
+    "invalid.csv": b"tenor_years,rate\n1,0.2\n2,0.001\n3,0.001\n",
+    "malformed.csv": b"tenor_years,rate\n1,0.05\n2,oops\n",
+    "latin1.csv": b"tenor_years,rate\n1,0.02\xff\n",
+    "zero.json": ZERO_KINK_JSON.encode(),
+    "zero5.json": b'{"curve_type": "zero", "points": [{"t": 0.5, "r": 0.01}, {"t": 1, "r": 0.02},'
+    b' {"t": 2, "r": 0.021}, {"t": 3, "r": 0.03}, {"t": 4, "r": 0.031}]}',
+    "discount.json": b'{"curve_type": "discount", "points": [{"t": 1, "r": 0.97},'
+    b' {"t": 2, "r": 0.94}, {"t": 3, "r": 0.9}]}',
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, data in FUZZ_FILES.items():
+        (root / name).write_bytes(data)
+    return sorted(str(root / name) for name in FUZZ_FILES)
+
+
+class TestCliProperty:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_invocation_keeps_the_exit_code_contract(self, fuzz_files, data):
+        command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+        args = [command, data.draw(st.sampled_from(fuzz_files))]
+        for flag, sane in FUZZ_COMMANDS[command].items():
+            if sane is None:
+                args += [flag] if data.draw(st.booleans()) else []
+                continue
+            pool = sane if flag in CHOICE_FLAGS else HOSTILE + sane
+            value = data.draw(st.none() | st.sampled_from(pool))
+            args += [] if value is None else [flag, value]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 1, 2), args
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        lines = result.stderr.splitlines()
+        # validate and verify report findings on stdout and exit 1 silently.
+        finding = command in ("validate", "verify") and not lines
+        if result.exit_code == 1 and not finding:
+            assert len(lines) == 1 and lines[0].startswith("error: "), (args, lines)
 
 
 class TestDeterminismAcrossCommands:

@@ -121,7 +121,7 @@ class TestZeroCurveYieldAt:
         assert self.curve.yield_at(1.25) == pytest.approx(0.025, abs=1e-15)
 
     def test_out_of_range_ends_raise(self):
-        for t in (0.25, 5.5):
+        for t in (0.25, 5.5, float("nan")):
             with pytest.raises(ValueError, match="outside the curve's tenor range"):
                 self.curve.yield_at(t)
 
