@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .bootstrap import ShiftScenario, bootstrap, shifted_bootstrap
 from .curves import RATE_HI, RATE_LO, DiscountCurve, SwapCurve, ZeroCurve, _require_valid
-from .shape import CLASSIFY_TOL, CONSECUTIVE, CONVEX, scan_curve_shape
+from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins
 
 ZERO_BOND = "zero_bond"
 SWAP = "swap"
@@ -134,7 +134,7 @@ def zero_butterfly_pnl(
     Each leg of initial yield y and maturity T revalues, ``horizon``
     years on, to exp(-shift * (T - horizon) + y * horizon) per unit
     invested (continuous compounding).  At shift 0 and horizon 0 the
-    value is exactly zero.
+    value is exactly zero.  A value beyond float range raises ValueError.
     """
     if fly.kind != ZERO_BOND:
         raise ValueError(f"expected a zero_bond butterfly, got kind {fly.kind!r}")
@@ -146,11 +146,14 @@ def zero_butterfly_pnl(
     y1, y2, y3 = yields
     w1, w2, w3 = fly.weights
     a, t = shift, horizon
-    return (
-        w1 * math.exp(-a * (t1 - t) + y1 * t)
-        + w3 * math.exp(-a * (t3 - t) + y3 * t)
-        - w2 * math.exp(-a * (t2 - t) + y2 * t)
-    )
+    try:
+        return (
+            w1 * math.exp(-a * (t1 - t) + y1 * t)
+            + w3 * math.exp(-a * (t3 - t) + y3 * t)
+            - w2 * math.exp(-a * (t2 - t) + y2 * t)
+        )
+    except OverflowError:
+        raise ValueError(f"butterfly value overflows at shift {shift}") from None
 
 
 def nonparallel_weights(
@@ -232,7 +235,7 @@ def swap_butterfly(swaps: SwapCurve, indices: tuple[int, int, int]) -> Butterfly
 def _swap_weights(curve: DiscountCurve, indices: tuple[int, int, int]) -> Butterfly:
     """Swap butterfly from a valid base curve at in-range grid years."""
     n, m, k = indices
-    a_n, a_m, a_k = (curve.annuities[i - 1] for i in (n, m, k))
+    a_n, a_m, a_k = curve.annuities[n - 1], curve.annuities[m - 1], curve.annuities[k - 1]
     w1 = a_k - a_m
     w3 = a_m - a_n
     return Butterfly(
@@ -303,35 +306,32 @@ def scan_arbitrage(
             raise ValueError("zero_bond scan expects a ZeroCurve")
         prev = 1.0
         for pos, (t, y) in enumerate(zip(curve.tenors, curve.yields), start=1):
-            # Checked point by point, so a curve is refused at its first
-            # non-positive yield before a later tenor's price can overflow.
-            p = (1.0 + y) ** (-t)
+            try:  # a price that overflows does not decrease either
+                p = (1.0 + y) ** (-t)
+            except OverflowError:
+                p = math.inf
             if p >= prev:
                 raise ValueError(
                     f"curve fails validation: zero price does not decrease at "
                     f"point {pos}"
                 )
             prev = p
-        points = list(zip(curve.tenors, curve.yields))
+        points = zip(curve.tenors, curve.yields)
     elif kind == SWAP:
         if not isinstance(curve, SwapCurve):
             raise ValueError("swap scan expects a SwapCurve")
         disc = _require_valid(bootstrap(curve), "curve")
-        points = list(zip(disc.annuities, curve.rates))
+        points = zip(disc.annuities, curve.rates)
     else:
         raise ValueError(f"unknown butterfly kind {kind!r}")
 
-    report = scan_curve_shape(points, mode=mode, tol=tol)
+    # Convex as classify_triple decides; only hits become objects, in order.
+    hits = sorted((-m, i, j, k) for i, j, k, m in _margins(points, mode) if m > tol)
     candidates = []
-    for i, j, k_, cls in report.triples:
-        if cls.verdict != CONVEX:
-            continue
+    for neg_margin, i, j, k in hits:
         if kind == ZERO_BOND:
-            fly = zero_butterfly(curve.tenors[i], curve.tenors[j], curve.tenors[k_])
+            fly = zero_butterfly(curve.tenors[i], curve.tenors[j], curve.tenors[k])
         else:
-            fly = _swap_weights(disc, (i + 1, j + 1, k_ + 1))
-        candidates.append(
-            ArbitrageCandidate((i + 1, j + 1, k_ + 1), fly.legs, cls.margin, fly)
-        )
-    candidates.sort(key=lambda c: (-c.margin, c.indices))
+            fly = _swap_weights(disc, (i + 1, j + 1, k + 1))
+        candidates.append(ArbitrageCandidate((i + 1, j + 1, k + 1), fly.legs, -neg_margin, fly))
     return tuple(candidates)

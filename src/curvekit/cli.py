@@ -16,6 +16,7 @@ never from ambient randomness.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from random import Random
@@ -240,19 +241,15 @@ def cmd_scan(path: str, kind: str, mode: str, tol: float, out: str | None) -> No
     _require_finite("--tol", tol)
     scan_mode = CONSECUTIVE if mode == "consecutive" else ALL_TRIPLES
     if kind == "zero":
-        curve = curve_file.to_zero_curve()
-        candidates = scan_arbitrage(curve, ZERO_BOND, scan_mode, tol=tol)
+        candidates = scan_arbitrage(curve_file.to_zero_curve(), ZERO_BOND, scan_mode, tol=tol)
     else:
-        curve = curve_file.to_swap_curve()
-        candidates = scan_arbitrage(curve, SWAP, scan_mode, tol=tol)
+        candidates = scan_arbitrage(curve_file.to_swap_curve(), SWAP, scan_mode, tol=tol)
+    # Each distinct leg and weight is formatted once; _fmt prints 0.0 and -0.0 alike.
+    cell = functools.cache(lambda x: _fmt(float(x)))
     lines = ["leg1,leg2,leg3,margin,w1,w2,w3"]
     for cand in candidates:
-        l1, l2, l3 = cand.legs
-        w1, w2, w3 = cand.butterfly.weights
-        lines.append(
-            f"{_fmt(float(l1))},{_fmt(float(l2))},{_fmt(float(l3))},"
-            f"{_fmt(cand.margin)},{_fmt(w1)},{_fmt(w2)},{_fmt(w3)}"
-        )
+        legs, weights = map(cell, cand.legs), map(cell, cand.butterfly.weights)
+        lines.append(",".join((*legs, _fmt(cand.margin), *weights)))
     _emit(lines, out)
 
 

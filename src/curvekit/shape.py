@@ -25,7 +25,6 @@ of a sane curve produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .curves import MONOTONE_TOL, CheckResult, DiscountCurve
 
@@ -67,6 +66,10 @@ class ShapeReport:
     overall: str
 
 
+def _verdict(margin: float, tol: float) -> str:
+    return CONVEX if margin > tol else CONCAVE if margin < -tol else AFFINE
+
+
 def classify_triple(points, tol: float = CLASSIFY_TOL) -> TripleClassification:
     """Classify three (abscissa, value) points as convex, concave or affine."""
     (x1, v1), (x2, v2), (x3, v3) = points
@@ -75,16 +78,31 @@ def classify_triple(points, tol: float = CLASSIFY_TOL) -> TripleClassification:
     # The difference form of w1*v1 + w3*v3 - (w1 + w3)*v2: identical
     # algebraically, exactly zero for equal values, and bit-identical to
     # the weight-based carry expressions elsewhere in the package.
-    w1 = x3 - x2
-    w3 = x2 - x1
-    margin = w1 * (v1 - v2) + w3 * (v3 - v2)
-    if margin > tol:
-        verdict = CONVEX
-    elif margin < -tol:
-        verdict = CONCAVE
+    margin = (x3 - x2) * (v1 - v2) + (x2 - x1) * (v3 - v2)
+    return TripleClassification(_verdict(margin, tol), margin)
+
+
+def _margins(points, mode: str):
+    """Yield (i, j, k, margin) in (i, j, k) order; margins as classify_triple's."""
+    pts = [(float(x), float(v)) for x, v in points]
+    n = len(pts)
+    if n < 3:
+        raise ValueError("shape scan needs at least 3 points")
+    if any(b <= a for (a, _), (b, _) in zip(pts, pts[1:])):
+        raise ValueError("abscissas must be strictly increasing")
+    if mode == CONSECUTIVE:
+        triples = ((i, i + 1, i + 2) for i in range(n - 2))
+    elif mode == ALL_TRIPLES:
+        if n > ALL_TRIPLES_CAP:
+            raise ValueError(
+                f"all-triples scan over {n} points exceeds the cap of {ALL_TRIPLES_CAP}"
+            )
+        triples = ((i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
     else:
-        verdict = AFFINE
-    return TripleClassification(verdict, margin)
+        raise ValueError(f"unknown scan mode {mode!r}")
+    for i, j, k in triples:
+        (x1, v1), (x2, v2), (x3, v3) = pts[i], pts[j], pts[k]
+        yield i, j, k, (x3 - x2) * (v1 - v2) + (x2 - x1) * (v3 - v2)
 
 
 def scan_curve_shape(
@@ -95,26 +113,9 @@ def scan_curve_shape(
     ``consecutive`` scans the N-2 windows (i, i+1, i+2); ``all_triples``
     scans every i < j < k and refuses more than ``ALL_TRIPLES_CAP`` points.
     """
-    pts = [(float(x), float(v)) for x, v in points]
-    if len(pts) < 3:
-        raise ValueError("shape scan needs at least 3 points")
-    for (a, _), (b, _) in zip(pts, pts[1:]):
-        if b <= a:
-            raise ValueError("abscissas must be strictly increasing")
-    if mode == CONSECUTIVE:
-        index_triples = [(i, i + 1, i + 2) for i in range(len(pts) - 2)]
-    elif mode == ALL_TRIPLES:
-        if len(pts) > ALL_TRIPLES_CAP:
-            raise ValueError(
-                f"all-triples scan over {len(pts)} points exceeds the cap of "
-                f"{ALL_TRIPLES_CAP}"
-            )
-        index_triples = list(combinations(range(len(pts)), 3))
-    else:
-        raise ValueError(f"unknown scan mode {mode!r}")
     triples = tuple(
-        (i, j, k, classify_triple((pts[i], pts[j], pts[k]), tol))
-        for i, j, k in index_triples
+        (i, j, k, TripleClassification(_verdict(margin, tol), margin))
+        for i, j, k, margin in _margins(points, mode)
     )
     any_convex = any(c.verdict == CONVEX for _, _, _, c in triples)
     overall = CONVEX_SOMEWHERE if any_convex else CONCAVE_EVERYWHERE

@@ -1,6 +1,7 @@
 """Butterfly construction, shift P&L and arbitrage scans."""
 
 import math
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -18,8 +19,8 @@ from curvekit.butterfly import (
     zero_butterfly,
     zero_butterfly_pnl,
 )
-from curvekit.curves import SwapCurve, ZeroCurve, validate
-from curvekit.sampling import random_swap_curve
+from curvekit.curves import SwapCurve, ZeroCurve, validate, zeros_from_discounts
+from curvekit.sampling import random_discount_curve, random_swap_curve
 from curvekit.shape import classify_triple
 
 
@@ -330,7 +331,64 @@ class TestSwapButterflyPnl:
         assert tested >= 30
 
 
+def antisymmetric_zero_curve(n=15, seed=6):
+    """Linear yields plus jitter antisymmetric about the middle tenor.
+
+    Mirror-image triples have opposite margins, and many margins tie
+    exactly, so the scan's order among them falls to the indices.
+    """
+    rng = Random(seed)
+    half = [rng.uniform(-2.5e-4, 2.5e-4) for _ in range(n // 2)]
+    noise = half + [0.0] * (n % 2) + [-e for e in reversed(half)]
+    tenors = tuple(float(t) for t in range(1, n + 1))
+    return ZeroCurve(tenors, tuple(0.02 + 0.001 * t + e for t, e in zip(tenors, noise)))
+
+
+SCAN_CURVES = {
+    "zero-sampled": lambda: ("zero_bond", zeros_from_discounts(random_discount_curve(Random(7), 15))),
+    "zero-antisymmetric": lambda: ("zero_bond", antisymmetric_zero_curve()),
+    "swap-sampled": lambda: ("swap", random_swap_curve(Random(8), 15)),
+}
+
+
+def reference_scan(curve, kind, mode):
+    """(indices, legs, weights, margin) of every convex triple, brute force."""
+    if kind == "zero_bond":
+        points = list(zip(curve.tenors, curve.yields))
+    else:
+        points = list(zip(bootstrap(curve).annuities, curve.rates))
+    n = len(points)
+    if mode == "all_triples":
+        triples = combinations(range(n), 3)
+    else:
+        triples = [(i, i + 1, i + 2) for i in range(n - 2)]
+    rows = []
+    for i, j, k in triples:
+        cls = classify_triple((points[i], points[j], points[k]))
+        if cls.verdict != "convex":
+            continue
+        (x1, _), (x2, _), (x3, _) = points[i], points[j], points[k]
+        indices = (i + 1, j + 1, k + 1)
+        legs = (x1, x2, x3) if kind == "zero_bond" else indices
+        weights = (x3 - x2, (x3 - x2) + (x2 - x1), x2 - x1)
+        rows.append((indices, legs, weights, cls.margin))
+    rows.sort(key=lambda r: (-r[3], r[0]))
+    return rows
+
+
 class TestScanArbitrage:
+    @pytest.mark.parametrize("mode", ["consecutive", "all_triples"])
+    @pytest.mark.parametrize("name", sorted(SCAN_CURVES))
+    def test_matches_brute_force_reference(self, name, mode):
+        kind, curve = SCAN_CURVES[name]()
+        expected = reference_scan(curve, kind, mode)
+        assert expected
+        got = [
+            (c.indices, c.legs, c.butterfly.weights, c.margin)
+            for c in scan_arbitrage(curve, kind, mode)
+        ]
+        assert got == expected
+
     def concave_zero_curve(self, n=10):
         tenors = tuple(float(t) for t in range(1, n + 1))
         yields = tuple(0.01 + 0.02 * math.log1p(t) / math.log1p(n) for t in tenors)

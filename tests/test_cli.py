@@ -6,14 +6,20 @@ paths under test, and formatted with the same 12-significant-digit rule
 the CLI documents.
 """
 
+import json
 import math
+from random import Random
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvekit.cli import main
+from curvekit.butterfly import SWAP, ZERO_BOND, scan_arbitrage
+from curvekit.cli import _fmt, main
+from curvekit.curves import zeros_from_discounts
+from curvekit.sampling import random_discount_curve, random_swap_curve
+from curvekit.shape import ALL_TRIPLES
 
 FLAT_CSV = "tenor_years,rate\n1,0.05\n2,0.05\n3,0.05\n"
 BUMP_CSV = "tenor_years,rate\n1,0.051\n2,0.05\n3,0.05\n"
@@ -188,6 +194,31 @@ class TestScanCommand:
         assert result.exit_code == 0
         margins = [float(r.split(",")[3]) for r in result.output.splitlines()[1:]]
         assert margins == sorted(margins, reverse=True)
+
+    @pytest.mark.parametrize("kind", ["zero", "swap"])
+    def test_all_triples_rows_format_the_library_candidates(self, runner, tmp_path, kind):
+        rng = Random(3)
+        if kind == "zero":
+            curve = zeros_from_discounts(random_discount_curve(rng, 15))
+            points = [{"t": t, "r": r} for t, r in zip(curve.tenors, curve.yields)]
+            path = tmp_path / "zero.json"
+            path.write_text(json.dumps({"curve_type": "zero", "points": points}))
+            candidates = scan_arbitrage(curve, ZERO_BOND, ALL_TRIPLES)
+        else:
+            curve = random_swap_curve(rng, 12)
+            path = tmp_path / "swap.csv"
+            path.write_text(
+                "tenor_years,rate\n"
+                + "".join(f"{n},{r!r}\n" for n, r in enumerate(curve.rates, start=1))
+            )
+            candidates = scan_arbitrage(curve, SWAP, ALL_TRIPLES)
+        result = runner.invoke(main, ["scan", str(path), "--kind", kind, "--mode", "all"])
+        assert result.exit_code == 0
+        rows = result.output.splitlines()[1:]
+        assert len(rows) == len(candidates) > 0
+        for row, c in zip(rows, candidates):
+            cells = (*c.legs, c.margin, *c.butterfly.weights)
+            assert row == ",".join(_fmt(float(x)) for x in cells)
 
     def test_two_points_exit_1(self, runner, tmp_path):
         path = tmp_path / "two.csv"
@@ -436,30 +467,56 @@ class TestHostileFlags:
         assert "exceeds 100001 rows" in result.stderr
 
     @pytest.mark.parametrize(
-        "text, args, code",
+        "text, args, code, message",
         [
-            (b"tenor_years,rate\n1,0.02\xff", ["bootstrap", "{path}"], 2),
-            (FLAT_CSV.encode(), ["bootstrap", "{path}", "--out", "{missing}/table.csv"], 1),
+            (
+                b"tenor_years,rate\n1,0.02\xff",
+                ["bootstrap", "{path}"],
+                2,
+                "not UTF-8 text at byte 23",
+            ),
+            (
+                FLAT_CSV.encode(),
+                ["bootstrap", "{path}", "--out", "{missing}/table.csv"],
+                1,
+                "cannot write {missing}/table.csv: No such file or directory",
+            ),
             (
                 b'{"curve_type": "zero", "points": [{"t": 1, "r": -0.4},'
                 b' {"t": 2, "r": -0.4}, {"t": 100000, "r": -0.4}]}',
                 ["scan", "{path}"],
                 1,
+                "curve fails validation: zero price does not decrease at point 1",
+            ),
+            (
+                b'{"curve_type": "zero", "points": [{"t": 100000, "r": -0.4},'
+                b' {"t": 100001, "r": -0.4}, {"t": 100002, "r": -0.4}]}',
+                ["scan", "{path}"],
+                1,
+                "curve fails validation: zero price does not decrease at point 1",
             ),
             (
                 ZERO_KINK_JSON.encode(),
                 ["pnl", "{path}", "--legs", "1,2,3", "--shift-bp", "-1e7:-1e7:1"],
                 1,
+                "butterfly value overflows at shift -1000.0",
             ),
         ],
-        ids=["non-utf8-file", "out-into-missing-dir", "zero-price-overflow", "pnl-exp-overflow"],
+        ids=[
+            "non-utf8-file",
+            "out-into-missing-dir",
+            "zero-price-overflow",
+            "zero-price-overflow-at-first-point",
+            "pnl-exp-overflow",
+        ],
     )
-    def test_file_and_arithmetic_failures(self, runner, tmp_path, text, args, code):
+    def test_file_and_arithmetic_failures(self, runner, tmp_path, text, args, code, message):
         path = tmp_path / "curve.txt"
         path.write_bytes(text)
         fields = {"path": str(path), "missing": str(tmp_path / "missing")}
         result = runner.invoke(main, [a.format(**fields) for a in args])
         assert_clean_refusal(result, code)
+        assert result.stderr == f"error: {message.format(**fields)}\n"
 
     @pytest.mark.parametrize(
         "args, text",

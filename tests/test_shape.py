@@ -1,6 +1,7 @@
 """Triple classification, shape scans and the annuity-point geometry."""
 
 import math
+import re
 from itertools import combinations
 from random import Random
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvekit.bootstrap import ShiftScenario, bootstrap, shifted_bootstrap
-from curvekit.curves import SwapCurve
+from curvekit.butterfly import scan_arbitrage
+from curvekit.curves import SwapCurve, ZeroCurve
 from curvekit.sampling import random_nondecreasing_swap_curve, random_swap_curve
 from curvekit.shape import (
     ALL_TRIPLES,
@@ -94,9 +96,28 @@ class TestScanCurveShape:
             assert len(report.triples) == 1
             assert report.triples[0][:3] == (0, 1, 2)
 
+    @staticmethod
+    def assert_both_refuse(points, mode, message):
+        """scan_curve_shape and scan_arbitrage refuse the points alike."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scan_curve_shape(points, mode=mode)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scan_arbitrage(ZeroCurve(*zip(*points)), mode=mode)
+
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            scan_curve_shape([(1.0, 0.01), (2.0, 0.02)])
+        self.assert_both_refuse(
+            [(1.0, 0.01), (2.0, 0.02)], CONSECUTIVE, "shape scan needs at least 3 points"
+        )
+
+    def test_unknown_mode(self):
+        points = [(float(t), 0.01 * t) for t in range(1, 8)]
+        self.assert_both_refuse(points, "diagonal", "unknown scan mode 'diagonal'")
+
+    def test_abscissas_must_increase(self):
+        # ZeroCurve refuses such tenors ("tenors must be strictly
+        # increasing") before scan_arbitrage can scan them.
+        points = [(1.0, 0.01), (3.0, 0.02), (2.0, 0.03)]
+        self.assert_both_refuse(points, CONSECUTIVE, "must be strictly increasing")
 
     def test_lexicographic_order(self):
         points = [(float(t), 0.01 * t) for t in range(1, 8)]
@@ -107,8 +128,9 @@ class TestScanCurveShape:
 
     def test_all_triples_cap(self):
         points = [(float(t), 0.01) for t in range(1, 202)]
-        with pytest.raises(ValueError):
-            scan_curve_shape(points, mode=ALL_TRIPLES)
+        self.assert_both_refuse(
+            points, ALL_TRIPLES, "all-triples scan over 201 points exceeds the cap of 200"
+        )
 
 
 class TestAnnuityPoints:
