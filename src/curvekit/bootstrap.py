@@ -22,6 +22,7 @@ index is reportable, not just a boolean.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .curves import (
@@ -31,6 +32,7 @@ from .curves import (
     CheckResult,
     DiscountCurve,
     SwapCurve,
+    _check_rate_range,
 )
 from .shape import CONCAVE, CONVEX, annuity_point_classification, ratio_monotonicity
 
@@ -123,10 +125,15 @@ def bootstrap(swaps: SwapCurve, *, strict: bool = False) -> DiscountCurve:
     shifted curves can transiently break monotonicity and callers usually
     want to observe that.
     """
+    return _bootstrap_rates(swaps.rates, strict)
+
+
+def _bootstrap_rates(rates: tuple[float, ...], strict: bool) -> DiscountCurve:
+    """The bootstrap recursion over rates already checked as a SwapCurve's."""
     factors: list[float] = []
     annuity = 0.0
     prev = 1.0
-    for n, x in enumerate(swaps.rates, start=1):
+    for n, x in enumerate(rates, start=1):
         p = (1.0 - x * annuity) / (1.0 + x)
         if strict:
             if p <= MONOTONE_TOL:
@@ -158,8 +165,15 @@ def apply_shift(swaps: SwapCurve, shift: ShiftScenario) -> SwapCurve:
 def shifted_bootstrap(
     swaps: SwapCurve, shift: ShiftScenario, *, strict: bool = False
 ) -> DiscountCurve:
-    """Bootstrap of the shifted swap curve."""
-    return bootstrap(apply_shift(swaps, shift), strict=strict)
+    """Bootstrap of the shifted swap curve.
+
+    Same factors and refusals as ``bootstrap(apply_shift(swaps, shift))``,
+    without building the intermediate curve: the sum of finite rates and
+    finite amounts is finite, so only the range check is left to run.
+    """
+    rates = tuple(map(operator.add, swaps.rates, shift.amounts_for(len(swaps))))
+    _check_rate_range(rates, "rates")
+    return _bootstrap_rates(rates, strict)
 
 
 def tail_diagnostics(

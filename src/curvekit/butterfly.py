@@ -147,13 +147,16 @@ def zero_butterfly_pnl(
     w1, w2, w3 = fly.weights
     a, t = shift, horizon
     try:
-        return (
+        value = (
             w1 * math.exp(-a * (t1 - t) + y1 * t)
             + w3 * math.exp(-a * (t3 - t) + y3 * t)
             - w2 * math.exp(-a * (t2 - t) + y2 * t)
         )
     except OverflowError:
-        raise ValueError(f"butterfly value overflows at shift {shift}") from None
+        value = math.inf  # an exponential itself left float range
+    if not math.isfinite(value):
+        raise ValueError(f"butterfly value overflows at shift {shift}")
+    return value
 
 
 def nonparallel_weights(

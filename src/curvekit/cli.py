@@ -382,9 +382,10 @@ def cmd_verify(path: str, shift_bp: str, trials: int, seed: int, out: str | None
         name: ("base", outcome)
         for name, outcome in shift_response(base, shifted, scenario)
     }
+    forwards = forward_rates(base)
     for trial in range(trials):
         rng = Random(f"{seed}:{trial}")
-        perturbed = perturb_swap_curve(rng, swaps)
+        perturbed = perturb_swap_curve(rng, forwards)
         shifted = shifted_bootstrap(perturbed, scenario)
         if not validate(shifted).ok:
             continue  # scenario breaks this perturbation; not a finding

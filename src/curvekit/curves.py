@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 # Decimal per-annum rates accepted anywhere in the package.
 RATE_LO = -0.5
@@ -40,16 +41,22 @@ NON_POSITIVE_FORWARD = "non_positive_forward"
 
 
 def _as_floats(values, what: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
+    out = tuple(map(float, values))
     if not out:
         raise ValueError(f"{what} must contain at least one entry")
-    for v in out:
-        if not math.isfinite(v):
-            raise ValueError(f"{what} must be finite, got {v!r}")
+    if not all(map(math.isfinite, out)):
+        bad = next(v for v in out if not math.isfinite(v))
+        raise ValueError(f"{what} must be finite, got {bad!r}")
     return out
 
 
 def _check_rate_range(rates: tuple[float, ...], what: str) -> None:
+    # The min/max accept is exact only for finite rates (a NaN can slip
+    # past both), which every caller guarantees: _as_floats has refused
+    # non-finite values, and finite rates plus finite shift amounts stay
+    # finite.
+    if RATE_LO < min(rates) and max(rates) < RATE_HI:
+        return
     for i, r in enumerate(rates):
         if not RATE_LO < r < RATE_HI:
             raise ValueError(
@@ -142,13 +149,9 @@ class DiscountCurve:
 
     def __post_init__(self) -> None:
         factors = _as_floats(self.factors, "factors")
-        acc = 0.0
-        annuities = []
-        for p in factors:
-            acc += p
-            annuities.append(acc)
+        annuities = tuple(accumulate(factors, initial=0.0))[1:]
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "annuities", tuple(annuities))
+        object.__setattr__(self, "annuities", annuities)
 
     def __len__(self) -> int:
         return len(self.factors)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from random import Random
 
-from .bootstrap import bootstrap, swap_rates_from_discounts
-from .curves import DiscountCurve, SwapCurve, forward_rates
+from .bootstrap import swap_rates_from_discounts
+from .curves import DiscountCurve, ForwardCurve, SwapCurve
 
 
 def random_discount_curve(
@@ -63,16 +63,17 @@ def random_nondecreasing_swap_curve(
     return swap_rates_from_discounts(DiscountCurve(tuple(factors)))
 
 
-def perturb_swap_curve(rng: Random, swaps: SwapCurve) -> SwapCurve:
-    """Jitter a valid curve multiplicatively in forward space.
+def perturb_swap_curve(rng: Random, forwards: ForwardCurve) -> SwapCurve:
+    """Jitter a valid curve, given by its forwards, multiplicatively.
 
     Forwards are scaled by exp(u), u uniform in [-0.25, 0.25], which
-    keeps them positive and therefore keeps the perturbed curve valid.
+    keeps positive forwards positive and therefore keeps the perturbed
+    curve valid.  Callers that perturb one curve many times compute its
+    forwards once.
     """
-    forwards = forward_rates(bootstrap(swaps)).forwards
     factors = []
     acc = 1.0
-    for f in forwards:
+    for f in forwards.forwards:
         acc /= 1.0 + f * math.exp(rng.uniform(-0.25, 0.25))
         factors.append(acc)
     return swap_rates_from_discounts(DiscountCurve(tuple(factors)))

@@ -88,7 +88,7 @@ def _margins(points, mode: str):
     n = len(pts)
     if n < 3:
         raise ValueError("shape scan needs at least 3 points")
-    if any(b <= a for (a, _), (b, _) in zip(pts, pts[1:])):
+    if not all(b > a for (a, _), (b, _) in zip(pts, pts[1:])):  # NaN is no increase
         raise ValueError("abscissas must be strictly increasing")
     if mode == CONSECUTIVE:
         triples = ((i, i + 1, i + 2) for i in range(n - 2))

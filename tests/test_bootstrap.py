@@ -1,5 +1,6 @@
 """Bootstrap recursion, its inverse, shifts and shift-response checks."""
 
+import re
 from random import Random
 
 import pytest
@@ -134,6 +135,69 @@ class TestShifts:
     def test_shifted_rates_must_stay_in_range(self):
         with pytest.raises(ValueError):
             apply_shift(flat(0.05, 3), ShiftScenario.parallel(0.96))
+
+
+def _outcome(build):
+    """A built curve's factors and annuities in hex, or the refusal it raised."""
+    try:
+        curve = build()
+    except ValueError as exc:
+        detail = (exc.index, exc.kind, exc.value.hex()) if isinstance(exc, BootstrapError) else None
+        return type(exc).__name__, str(exc), detail
+    return "curve", [p.hex() for p in curve.factors], [a.hex() for a in curve.annuities]
+
+
+class TestShiftedBootstrapPinning:
+    """shifted_bootstrap is bootstrap(apply_shift(...)) without the middle curve."""
+
+    @staticmethod
+    def scenarios(rng: Random, n: int):
+        # Small moves keep the curve valid, -10% breaks it at year 1, +95%
+        # leaves the rate range, and jagged per-tenor moves break it mid-curve.
+        for y in (0.0, 0.005, -0.003, -0.1, 0.95):
+            yield ShiftScenario.parallel(y)
+        for width in (1e-4, 0.02, 0.6):
+            yield ShiftScenario.per_tenor(rng.uniform(-width, width) for _ in range(n))
+
+    @pytest.mark.parametrize("n", [3, 20, 100, 1000])
+    def test_same_factors_and_refusals_as_apply_shift(self, n):
+        rng = Random(f"pin{n}")
+        seen = set()
+        for swaps in (random_swap_curve(rng, n), random_nondecreasing_swap_curve(rng, n)):
+            for scenario in self.scenarios(rng, n):
+                for strict in (False, True):
+                    want = _outcome(lambda: bootstrap(apply_shift(swaps, scenario), strict=strict))
+                    got = _outcome(lambda: shifted_bootstrap(swaps, scenario, strict=strict))
+                    assert got == want
+                    seen.add(want[0])
+        assert seen == {"curve", "ValueError", "BootstrapError"}
+
+    def test_annuities_are_left_to_right_sums(self):
+        curve = shifted_bootstrap(random_swap_curve(Random(7), 1000), ShiftScenario.parallel(0.001))
+        acc, sums = 0.0, []
+        for p in curve.factors:
+            acc += p
+            sums.append(acc)
+        assert [a.hex() for a in curve.annuities] == [a.hex() for a in sums]
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SwapCurve((0.01, float("nan"), float("inf"))), "rates must be finite, got nan"),
+            (lambda: DiscountCurve((0.9, float("inf"), float("nan"))), "factors must be finite, got inf"),
+            (lambda: SwapCurve((0.01, 1.5, -0.7)), "rates[1] = 1.5 outside"),
+            (
+                lambda: shifted_bootstrap(
+                    SwapCurve((0.01, 0.8, 0.9)), ShiftScenario.parallel(0.25)
+                ),
+                "rates[1] = 1.05 outside",
+            ),
+        ],
+        ids=["finite-rates", "finite-factors", "rate-range", "shifted-rate-range"],
+    )
+    def test_two_bad_entries_name_the_first(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
 
 class TestTailDiagnostics:

@@ -501,6 +501,12 @@ class TestHostileFlags:
                 1,
                 "butterfly value overflows at shift -1000.0",
             ),
+            (
+                ZERO_KINK_JSON.encode(),
+                ["pnl", "{path}", "--legs", "1,2.5,3", "--shift-bp=-2365700:-2365700:1"],
+                1,
+                "butterfly value overflows at shift -236.57000000000002",
+            ),
         ],
         ids=[
             "non-utf8-file",
@@ -508,6 +514,7 @@ class TestHostileFlags:
             "zero-price-overflow",
             "zero-price-overflow-at-first-point",
             "pnl-exp-overflow",
+            "pnl-sum-overflow",
         ],
     )
     def test_file_and_arithmetic_failures(self, runner, tmp_path, text, args, code, message):

@@ -118,6 +118,12 @@ class TestScanCurveShape:
         # increasing") before scan_arbitrage can scan them.
         points = [(1.0, 0.01), (3.0, 0.02), (2.0, 0.03)]
         self.assert_both_refuse(points, CONSECUTIVE, "must be strictly increasing")
+        # A NaN abscissa is no increase either (ZeroCurve refuses it as
+        # non-finite), in the scan as in classify_triple.
+        nan_points = [(1.0, 0.01), (math.nan, 0.02), (3.0, 0.03)]
+        for refuse in (scan_curve_shape, classify_triple):
+            with pytest.raises(ValueError, match="abscissas must be strictly increasing"):
+                refuse(nan_points)
 
     def test_lexicographic_order(self):
         points = [(float(t), 0.01 * t) for t in range(1, 8)]
