@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .curves import (
     MONOTONE_TOL,
@@ -33,6 +32,7 @@ from .curves import (
     DiscountCurve,
     SwapCurve,
     _check_rate_range,
+    _Record,
 )
 from .shape import CONCAVE, CONVEX, annuity_point_classification, ratio_monotonicity
 
@@ -53,30 +53,29 @@ class BootstrapError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class ShiftScenario:
+class ShiftScenario(_Record):
     """Additive shift of a swap curve: one amount, or one per tenor."""
 
-    kind: str
-    amount: float | None = None
-    amounts: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == PARALLEL:
-            if self.amount is None or self.amounts is not None:
+    def __init__(
+        self, kind: str, amount: float | None = None, amounts: tuple[float, ...] | None = None
+    ) -> None:
+        if kind == PARALLEL:
+            if amount is None or amounts is not None:
                 raise ValueError("parallel shift takes a single amount")
-            if not math.isfinite(self.amount):
+            if not math.isfinite(amount):
                 raise ValueError("shift amount must be finite")
-        elif self.kind == PER_TENOR:
-            if self.amounts is None or self.amount is not None:
+        elif kind == PER_TENOR:
+            if amounts is None or amount is not None:
                 raise ValueError("per-tenor shift takes a vector of amounts")
-            amounts = tuple(float(a) for a in self.amounts)
+            amounts = tuple(float(a) for a in amounts)
             for a in amounts:
                 if not math.isfinite(a):
                     raise ValueError("shift amounts must be finite")
-            object.__setattr__(self, "amounts", amounts)
         else:
-            raise ValueError(f"unknown shift kind {self.kind!r}")
+            raise ValueError(f"unknown shift kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "amount", amount)
+        object.__setattr__(self, "amounts", amounts)
 
     @classmethod
     def parallel(cls, amount: float) -> "ShiftScenario":
@@ -98,8 +97,7 @@ class ShiftScenario:
         return self.amounts
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(_Record):
     """Long-tenor behaviour of a swap curve, observed on a finite grid.
 
     ``x_inf_estimate`` is the last-tenor swap rate; ``converged`` says the
@@ -109,10 +107,13 @@ class LimitReport:
     strictly decreasing over the last quartile of the grid).
     """
 
-    x_inf_estimate: float
-    converged: bool
-    p_tail: float
-    p_tail_vanishing: bool
+    def __init__(
+        self, x_inf_estimate: float, converged: bool, p_tail: float, p_tail_vanishing: bool
+    ) -> None:
+        object.__setattr__(self, "x_inf_estimate", x_inf_estimate)
+        object.__setattr__(self, "converged", converged)
+        object.__setattr__(self, "p_tail", p_tail)
+        object.__setattr__(self, "p_tail_vanishing", p_tail_vanishing)
 
 
 def bootstrap(swaps: SwapCurve, *, strict: bool = False) -> DiscountCurve:
@@ -131,6 +132,7 @@ def bootstrap(swaps: SwapCurve, *, strict: bool = False) -> DiscountCurve:
 def _bootstrap_rates(rates: tuple[float, ...], strict: bool) -> DiscountCurve:
     """The bootstrap recursion over rates already checked as a SwapCurve's."""
     factors: list[float] = []
+    annuities: list[float] = []
     annuity = 0.0
     prev = 1.0
     for n, x in enumerate(rates, start=1):
@@ -142,8 +144,9 @@ def _bootstrap_rates(rates: tuple[float, ...], strict: bool) -> DiscountCurve:
                 raise BootstrapError(n, NON_DECREASING_DISCOUNT, p)
         factors.append(p)
         annuity += p
+        annuities.append(annuity)
         prev = p
-    return DiscountCurve(tuple(factors))
+    return DiscountCurve._computed(tuple(factors), tuple(annuities))
 
 
 def swap_rates_from_discounts(curve: DiscountCurve) -> SwapCurve:

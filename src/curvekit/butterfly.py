@@ -19,18 +19,19 @@ in the README formula map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bootstrap import ShiftScenario, bootstrap, shifted_bootstrap
-from .curves import RATE_HI, RATE_LO, DiscountCurve, SwapCurve, ZeroCurve, _require_valid
+from .curves import RATE_HI, RATE_LO, DiscountCurve, SwapCurve, ZeroCurve, _Record, _require_valid
 from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins
 
 ZERO_BOND = "zero_bond"
 SWAP = "swap"
 
+# One float per leg, in leg order.
+Triple = tuple[float, float, float]
 
-@dataclass(frozen=True)
-class Butterfly:
+
+class Butterfly(_Record):
     """Three-leg, zero-cost portfolio: long the wings, short the body.
 
     ``legs`` holds maturities in years (zero-bond kind) or 1-based grid
@@ -38,39 +39,41 @@ class Butterfly:
     that produced the weights are kept alongside.
     """
 
-    kind: str
-    legs: tuple
-    weights: tuple[float, float, float]
-    base_annuities: tuple[float, float, float] | None = None
+    def __init__(
+        self, kind: str, legs: tuple, weights: Triple, base_annuities: Triple | None = None
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "base_annuities", base_annuities)
 
-    def normalized_weights(self) -> tuple[float, float, float]:
+    def normalized_weights(self) -> Triple:
         """The weight triple rescaled to a unit middle (short) leg."""
         w1, w2, w3 = self.weights
         return (w1 / w2, 1.0, w3 / w2)
 
 
-@dataclass(frozen=True)
-class PnlBreakdown:
+class PnlBreakdown(_Record):
     """Swap-butterfly P&L split into accrual carry and revaluation.
 
     ``remaining_annuities`` are the shifted annuities of the three legs
     net of the elapsed share of the first payment, in leg order.
     """
 
-    carry: float
-    mark_to_market: float
-    total: float
-    remaining_annuities: tuple[float, float, float]
+    def __init__(
+        self, carry: float, mark_to_market: float, total: float, remaining_annuities: Triple
+    ) -> None:
+        object.__setattr__(self, "carry", carry)
+        object.__setattr__(self, "mark_to_market", mark_to_market)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "remaining_annuities", remaining_annuities)
 
 
-@dataclass(frozen=True)
-class NonParallelMove:
+class NonParallelMove(_Record):
     """Per-leg rate moves (a1, a2, a3)."""
 
-    movements: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        movements = tuple(float(a) for a in self.movements)
+    def __init__(self, movements: Triple) -> None:
+        movements = tuple(float(a) for a in movements)
         if len(movements) != 3:
             raise ValueError("exactly three per-leg movements are required")
         for a in movements:
@@ -79,8 +82,7 @@ class NonParallelMove:
         object.__setattr__(self, "movements", movements)
 
 
-@dataclass(frozen=True)
-class SafetyCheck:
+class SafetyCheck(_Record):
     """Outcome of the non-parallel safety conditions.
 
     ``shifted_yield_margin`` is the slack of the shifted-yield convexity
@@ -90,14 +92,20 @@ class SafetyCheck:
     ``binding_margin`` is the smaller of the two.
     """
 
-    passed: bool
-    shifted_yield_margin: float
-    instantaneous_margin: float
-    binding_margin: float
+    def __init__(
+        self,
+        passed: bool,
+        shifted_yield_margin: float,
+        instantaneous_margin: float,
+        binding_margin: float,
+    ) -> None:
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "shifted_yield_margin", shifted_yield_margin)
+        object.__setattr__(self, "instantaneous_margin", instantaneous_margin)
+        object.__setattr__(self, "binding_margin", binding_margin)
 
 
-@dataclass(frozen=True)
-class ArbitrageCandidate:
+class ArbitrageCandidate(_Record):
     """One convex triple found by a scan, with its ready-made butterfly.
 
     ``indices`` are 1-based positions in the scanned curve; ``legs``
@@ -105,10 +113,13 @@ class ArbitrageCandidate:
     is the convexity margin the ranking sorts on, largest first.
     """
 
-    indices: tuple[int, int, int]
-    legs: tuple
-    margin: float
-    butterfly: Butterfly
+    def __init__(
+        self, indices: tuple[int, int, int], legs: tuple, margin: float, butterfly: Butterfly
+    ) -> None:
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "butterfly", butterfly)
 
 
 def zero_butterfly(t1: float, t2: float, t3: float) -> Butterfly:
@@ -126,9 +137,7 @@ def zero_butterfly(t1: float, t2: float, t3: float) -> Butterfly:
     return Butterfly(ZERO_BOND, (t1, t2, t3), (w1, w1 + w3, w3))
 
 
-def zero_butterfly_pnl(
-    fly: Butterfly, yields: tuple[float, float, float], shift: float, horizon: float
-) -> float:
+def zero_butterfly_pnl(fly: Butterfly, yields: Triple, shift: float, horizon: float) -> float:
     """Value of a zero-bond butterfly after all yields move by ``shift``.
 
     Each leg of initial yield y and maturity T revalues, ``horizon``
@@ -159,9 +168,7 @@ def zero_butterfly_pnl(
     return value
 
 
-def nonparallel_weights(
-    moves: tuple[float, float, float], maturities: tuple[float, float, float]
-) -> tuple[float, float, float]:
+def nonparallel_weights(moves: Triple, maturities: Triple) -> Triple:
     """Butterfly weights that keep zero cost under per-leg moves.
 
     With products m_i = a_i * T_i the weights are (m3 - m2, m3 - m1,
@@ -182,10 +189,7 @@ def nonparallel_weights(
 
 
 def nonparallel_safe(
-    weights: tuple[float, float, float],
-    maturities: tuple[float, float, float],
-    yields: tuple[float, float, float],
-    moves: tuple[float, float, float],
+    weights: Triple, maturities: Triple, yields: Triple, moves: Triple
 ) -> SafetyCheck:
     """Evaluate both safety conditions for per-leg moves.
 

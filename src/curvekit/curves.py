@@ -24,8 +24,8 @@ transiently and callers need to observe that, not crash.  Use
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import attrgetter
 
 # Decimal per-annum rates accepted anywhere in the package.
 RATE_LO = -0.5
@@ -65,19 +65,45 @@ def _check_rate_range(rates: tuple[float, ...], what: str) -> None:
             )
 
 
-@dataclass(frozen=True)
-class ZeroCurve:
+class _Record:
+    """Immutable value record: its fields are its ``__init__`` parameters, which
+    equality, hashing and the repr use in order; assignment and deletion raise.
+    ``__init__`` sets fields with ``object.__setattr__``: touching ``__dict__``
+    would give the instance a dict of its own, twice the memory."""
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._key = attrgetter(*cls._fields)  # the fields' tuple, or the one field
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ZeroCurve(_Record):
     """Zero-coupon yields at strictly increasing positive tenors (years).
 
     Tenors are real-valued; they need not sit on the integer grid.
     """
 
-    tenors: tuple[float, ...]
-    yields: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        tenors = _as_floats(self.tenors, "tenors")
-        yields = _as_floats(self.yields, "yields")
+    def __init__(self, tenors: tuple[float, ...], yields: tuple[float, ...]) -> None:
+        tenors = _as_floats(tenors, "tenors")
+        yields = _as_floats(yields, "yields")
         if len(tenors) != len(yields):
             raise ValueError("tenors and yields must have the same length")
         if tenors[0] <= 0.0:
@@ -114,8 +140,7 @@ class ZeroCurve:
         return yields[-1]
 
 
-@dataclass(frozen=True)
-class SwapCurve:
+class SwapCurve(_Record):
     """Par swap rates on the integer-year grid 1..N.
 
     The same type also carries par rates derived from a discount curve --
@@ -123,10 +148,8 @@ class SwapCurve:
     annual swap (equivalently the n-year par bond) at par.
     """
 
-    rates: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        rates = _as_floats(self.rates, "rates")
+    def __init__(self, rates: tuple[float, ...]) -> None:
+        rates = _as_floats(rates, "rates")
         _check_rate_range(rates, "rates")
         object.__setattr__(self, "rates", rates)
 
@@ -134,31 +157,38 @@ class SwapCurve:
         return len(self.rates)
 
 
-@dataclass(frozen=True)
-class DiscountCurve:
+class DiscountCurve(_Record):
     """Discount factors on the integer-year grid plus derived annuities.
 
     ``annuities[n-1]`` is the running prefix sum ``factors[0] + ... +
     factors[n-1]``, i.e. the present value of a unit annual coupon paid
     at years 1..n.  The sums are accumulated in a single fixed
-    left-to-right pass so results are deterministic.
+    left-to-right pass so results are deterministic.  Only the factors
+    take part in equality, hashing and the repr.
     """
 
-    factors: tuple[float, ...]
-    annuities: tuple[float, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        factors = _as_floats(self.factors, "factors")
+    def __init__(self, factors: tuple[float, ...]) -> None:
+        factors = _as_floats(factors, "factors")
         annuities = tuple(accumulate(factors, initial=0.0))[1:]
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "annuities", annuities)
+
+    @classmethod
+    def _computed(cls, factors: tuple[float, ...], annuities: tuple[float, ...]) -> DiscountCurve:
+        """Trusted constructor: float factors and their running sums from 0.0."""
+        # A finite last sum means every factor is finite.
+        if not (annuities and math.isfinite(annuities[-1])):
+            _as_floats(factors, "factors")
+        curve = cls.__new__(cls)
+        object.__setattr__(curve, "factors", factors)
+        object.__setattr__(curve, "annuities", annuities)
+        return curve
 
     def __len__(self) -> int:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
-class ForwardCurve:
+class ForwardCurve(_Record):
     """One-year forward rates; ``forwards[i]`` covers the interval (i, i+1).
 
     Entry 0 is the spot one-year rate.  Forwards implied by a curve with
@@ -167,32 +197,28 @@ class ForwardCurve:
     diagnostics.
     """
 
-    forwards: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "forwards", _as_floats(self.forwards, "forwards"))
+    def __init__(self, forwards: tuple[float, ...]) -> None:
+        object.__setattr__(self, "forwards", _as_floats(forwards, "forwards"))
 
     def __len__(self) -> int:
         return len(self.forwards)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One validation finding: a 1-based index, a kind tag and the value."""
 
-    index: int
-    kind: str
-    value: float
+    def __init__(self, index: int, kind: str, value: float) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...]
-
-    def __post_init__(self) -> None:
-        if self.ok != (len(self.violations) == 0):
+class ValidationReport(_Record):
+    def __init__(self, ok: bool, violations: tuple[Violation, ...]) -> None:
+        if ok != (len(violations) == 0):
             raise ValueError("ok must mirror the absence of violations")
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
     @classmethod
     def from_violations(cls, violations) -> "ValidationReport":
@@ -200,18 +226,20 @@ class ValidationReport:
         return cls(ok=not violations, violations=violations)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """Pass/fail outcome of a curve property check.
 
     ``first_violation`` is the 1-based grid index of the first failing
     position, or None on pass.  ``detail`` is a short human-readable note.
     """
 
-    name: str
-    passed: bool
-    first_violation: int | None = None
-    detail: str = ""
+    def __init__(
+        self, name: str, passed: bool, first_violation: int | None = None, detail: str = ""
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "first_violation", first_violation)
+        object.__setattr__(self, "detail", detail)
 
 
 def zero_price(y: float, t: int) -> float:

@@ -20,11 +20,9 @@ Swap and discount curves must sit on the consecutive integer grid
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
-from .curves import DiscountCurve, SwapCurve, ZeroCurve, _require_integer_grid
+from .curves import DiscountCurve, SwapCurve, ZeroCurve, _Record, _require_integer_grid
 
 ZERO = "zero"
 SWAP = "swap"
@@ -42,33 +40,32 @@ class CurveFileError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class CurveFile:
+class CurveFile(_Record):
     """Parsed curve input: a type tag, (tenor, value) points and a label."""
 
-    curve_type: str
-    points: tuple[tuple[float, float], ...]
-    label: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.curve_type not in CURVE_TYPES:
+    def __init__(
+        self, curve_type: str, points: tuple[tuple[float, float], ...], label: str | None = None
+    ) -> None:
+        if curve_type not in CURVE_TYPES:
             raise CurveFileError(
-                f"curve_type must be one of {', '.join(CURVE_TYPES)}, "
-                f"got {self.curve_type!r}"
+                f"curve_type must be one of {', '.join(CURVE_TYPES)}, got {curve_type!r}"
             )
-        if not self.points:
+        if not points:
             raise CurveFileError("curve file contains no points")
-        for t, v in self.points:
+        for t, v in points:
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise CurveFileError(f"non-finite point ({t}, {v})")
-        tenors = [t for t, _ in self.points]
+        tenors = [t for t, _ in points]
         if any(b <= a for a, b in zip(tenors, tenors[1:])) or tenors[0] <= 0:
             raise CurveFileError("tenors must be positive and strictly increasing")
-        if self.curve_type in (SWAP, DISCOUNT):
+        if curve_type in (SWAP, DISCOUNT):
             try:
                 _require_integer_grid(tenors)
             except ValueError as exc:
-                raise CurveFileError(f"{self.curve_type} {exc}") from None
+                raise CurveFileError(f"{curve_type} {exc}") from None
+        object.__setattr__(self, "curve_type", curve_type)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "label", label)
 
     @property
     def tenors(self) -> tuple[float, ...]:
@@ -130,9 +127,11 @@ def parse_delimited(text: str, curve_type: str) -> CurveFile:
 
 def parse_structured(text: str) -> CurveFile:
     """Parse the JSON object format; the curve type comes from the file."""
+    import json  # only JSON input pays for the import
+
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise CurveFileError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise CurveFileError("structured curve file must be a JSON object")
@@ -146,9 +145,12 @@ def parse_structured(text: str) -> CurveFile:
     for i, entry in enumerate(raw_points):
         if not isinstance(entry, dict) or "t" not in entry or "r" not in entry:
             raise CurveFileError(f"points[{i}] must be an object with keys 't' and 'r'")
+        t, r = entry["t"], entry["r"]
         try:
-            points.append((float(entry["t"]), float(entry["r"])))
-        except (TypeError, ValueError):
+            if isinstance(t, bool) or isinstance(r, bool):
+                raise TypeError  # JSON true and false are not numbers
+            points.append((float(t), float(r)))
+        except (TypeError, ValueError, OverflowError):
             raise CurveFileError(f"points[{i}] has non-numeric 't' or 'r'") from None
     label = obj.get("label")
     if label is not None and not isinstance(label, str):

@@ -24,9 +24,7 @@ of a sane curve produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .curves import MONOTONE_TOL, CheckResult, DiscountCurve
+from .curves import MONOTONE_TOL, CheckResult, DiscountCurve, _Record
 
 CONVEX = "convex"
 CONCAVE = "concave"
@@ -46,14 +44,13 @@ CLASSIFY_TOL = 1e-9
 ALL_TRIPLES_CAP = 200
 
 
-@dataclass(frozen=True)
-class TripleClassification:
-    verdict: str
-    margin: float
+class TripleClassification(_Record):
+    def __init__(self, verdict: str, margin: float) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "margin", margin)
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(_Record):
     """Classification of every scanned triple plus the overall verdict.
 
     ``triples`` holds (i, j, k, classification) with 0-based positions
@@ -62,8 +59,11 @@ class ShapeReport:
     classified convex, and ``convex_somewhere`` otherwise.
     """
 
-    triples: tuple[tuple[int, int, int, TripleClassification], ...]
-    overall: str
+    def __init__(
+        self, triples: tuple[tuple[int, int, int, TripleClassification], ...], overall: str
+    ) -> None:
+        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "overall", overall)
 
 
 def _verdict(margin: float, tol: float) -> str:

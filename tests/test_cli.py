@@ -8,6 +8,9 @@ the CLI documents.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -15,6 +18,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvekit
 from curvekit.butterfly import SWAP, ZERO_BOND, scan_arbitrage
 from curvekit.cli import _fmt, main
 from curvekit.curves import zeros_from_discounts
@@ -507,6 +511,38 @@ class TestHostileFlags:
                 1,
                 "butterfly value overflows at shift -236.57000000000002",
             ),
+            (
+                b'{"curve_type":"zero","points":[{"t":1,"r":1' + b"0" * 400 + b"}]}",
+                ["validate", "{path}"],
+                2,
+                "points[0] has non-numeric 't' or 'r'",
+            ),
+            (
+                b'{"curve_type":"zero","points":[{"t":1,"r":1' + b"0" * 5000 + b"}]}",
+                ["validate", "{path}"],
+                2,
+                "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion:"
+                " value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit",
+            ),
+            (
+                b'{"curve_type":"zero","points":[{"t":true,"r":0.01}]}',
+                ["validate", "{path}"],
+                2,
+                "points[0] has non-numeric 't' or 'r'",
+            ),
+            (
+                b'{"curve_type":"zero","points":[{"t":1,"r":0.01},{"t":2,"r":false}]}',
+                ["validate", "{path}"],
+                2,
+                "points[1] has non-numeric 't' or 'r'",
+            ),
+            (
+                b'{"curve_type":"zero","points":' + b"[" * 100000 + b"]" * 100000 + b"}",
+                ["validate", "{path}"],
+                2,
+                "invalid JSON: maximum recursion depth exceeded"
+                " while decoding a JSON array from a unicode string",
+            ),
         ],
         ids=[
             "non-utf8-file",
@@ -515,6 +551,11 @@ class TestHostileFlags:
             "zero-price-overflow-at-first-point",
             "pnl-exp-overflow",
             "pnl-sum-overflow",
+            "json-number-beyond-float",
+            "json-integer-beyond-digit-limit",
+            "json-boolean-tenor",
+            "json-boolean-rate",
+            "json-nesting-beyond-recursion-limit",
         ],
     )
     def test_file_and_arithmetic_failures(self, runner, tmp_path, text, args, code, message):
@@ -634,3 +675,24 @@ class TestDeterminismAcrossCommands:
             second = runner.invoke(main, args)
             assert first.output == second.output, args
             assert first.exit_code == second.exit_code, args
+
+
+def test_cli_import_adds_no_dataclasses_or_json():
+    # Start-up is most of a short command, so importing the CLI must not load
+    # these two modules, which click itself does not load.
+    code = (
+        "import sys, click; before = set(sys.modules); import curvekit.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = os.path.dirname(os.path.dirname(curvekit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = set(result.stdout.split())
+    assert "curvekit.cli" in added
+    assert not added & {"dataclasses", "json"}

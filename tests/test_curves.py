@@ -1,18 +1,32 @@
 """Curve types, conversions and validation."""
 
+import copy
 import math
+import pickle
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvekit.bootstrap import LimitReport, ShiftScenario
+from curvekit.butterfly import (
+    ArbitrageCandidate,
+    Butterfly,
+    NonParallelMove,
+    PnlBreakdown,
+    SafetyCheck,
+)
 from curvekit.curves import (
     NON_DECREASING_DISCOUNT,
     NON_POSITIVE_DISCOUNT,
     NON_POSITIVE_FORWARD,
+    CheckResult,
     DiscountCurve,
+    ForwardCurve,
     SwapCurve,
+    ValidationReport,
+    Violation,
     ZeroCurve,
     discounts_from_zeros,
     forward_rates,
@@ -22,7 +36,9 @@ from curvekit.curves import (
     zero_yield_from_price,
     zeros_from_discounts,
 )
+from curvekit.io import CurveFile
 from curvekit.sampling import random_discount_curve
+from curvekit.shape import ShapeReport, TripleClassification
 
 
 def flat_discounts(rate: float, n: int) -> DiscountCurve:
@@ -251,3 +267,155 @@ class TestZeroDiscountConversions:
     def test_requires_integer_grid(self):
         with pytest.raises(ValueError):
             discounts_from_zeros(ZeroCurve((0.5, 1.5), (0.02, 0.03)))
+
+
+FLY = Butterfly("zero_bond", (1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
+FLY_REPR = (
+    "Butterfly(kind='zero_bond', legs=(1.0, 2.0, 3.0), weights=(1.0, 2.0, 1.0),"
+    " base_annuities=None)"
+)
+FINDING = Violation(1, NON_POSITIVE_DISCOUNT, -0.5)
+FINDING_REPR = "Violation(index=1, kind='non_positive_discount', value=-0.5)"
+
+# One record of each public type: a function making it, one making an unequal
+# record of the same type, and the exact repr of the first.
+RECORDS = {
+    "ZeroCurve": (
+        lambda: ZeroCurve((1.0, 2.0), (0.01, 0.02)),
+        lambda: ZeroCurve((1.0, 2.0), (0.01, 0.03)),
+        "ZeroCurve(tenors=(1.0, 2.0), yields=(0.01, 0.02))",
+    ),
+    "SwapCurve": (
+        lambda: SwapCurve((0.01,)),
+        lambda: SwapCurve((0.02,)),
+        "SwapCurve(rates=(0.01,))",
+    ),
+    "DiscountCurve": (
+        lambda: DiscountCurve((0.99, 0.98)),
+        lambda: DiscountCurve((0.99, 0.97)),
+        "DiscountCurve(factors=(0.99, 0.98))",
+    ),
+    "ForwardCurve": (
+        lambda: ForwardCurve((0.01,)),
+        lambda: ForwardCurve((-0.01,)),
+        "ForwardCurve(forwards=(0.01,))",
+    ),
+    "Violation": (
+        lambda: Violation(1, NON_POSITIVE_DISCOUNT, -0.5),
+        lambda: Violation(2, NON_POSITIVE_DISCOUNT, -0.5),
+        FINDING_REPR,
+    ),
+    "ValidationReport": (
+        lambda: ValidationReport(False, (FINDING,)),
+        lambda: ValidationReport(True, ()),
+        f"ValidationReport(ok=False, violations=({FINDING_REPR},))",
+    ),
+    "CheckResult": (
+        lambda: CheckResult("annuity_bound", False, 2, "note"),
+        lambda: CheckResult("annuity_bound", True),
+        "CheckResult(name='annuity_bound', passed=False, first_violation=2, detail='note')",
+    ),
+    "ShiftScenario": (
+        lambda: ShiftScenario.parallel(0.01),
+        lambda: ShiftScenario.per_tenor((0.01,)),
+        "ShiftScenario(kind='parallel', amount=0.01, amounts=None)",
+    ),
+    "LimitReport": (
+        lambda: LimitReport(0.05, True, 0.5, False),
+        lambda: LimitReport(0.05, True, 0.5, True),
+        "LimitReport(x_inf_estimate=0.05, converged=True, p_tail=0.5, p_tail_vanishing=False)",
+    ),
+    "TripleClassification": (
+        lambda: TripleClassification("convex", 0.25),
+        lambda: TripleClassification("convex", 0.5),
+        "TripleClassification(verdict='convex', margin=0.25)",
+    ),
+    "ShapeReport": (
+        lambda: ShapeReport(((0, 1, 2, TripleClassification("convex", 0.25)),), "convex_somewhere"),
+        lambda: ShapeReport((), "concave_everywhere"),
+        "ShapeReport(triples=((0, 1, 2, TripleClassification(verdict='convex', margin=0.25)),),"
+        " overall='convex_somewhere')",
+    ),
+    "Butterfly": (
+        lambda: Butterfly("zero_bond", (1.0, 2.0, 3.0), (1.0, 2.0, 1.0)),
+        lambda: Butterfly("swap", (1.0, 2.0, 3.0), (1.0, 2.0, 1.0), (1.0, 2.0, 3.0)),
+        FLY_REPR,
+    ),
+    "PnlBreakdown": (
+        lambda: PnlBreakdown(0.25, 0.5, 0.75, (1.0, 2.0, 3.0)),
+        lambda: PnlBreakdown(0.25, 0.5, 0.75, (1.0, 2.0, 4.0)),
+        "PnlBreakdown(carry=0.25, mark_to_market=0.5, total=0.75,"
+        " remaining_annuities=(1.0, 2.0, 3.0))",
+    ),
+    "NonParallelMove": (
+        lambda: NonParallelMove((0.01, 0.02, 0.03)),
+        lambda: NonParallelMove((0.01, 0.02, 0.04)),
+        "NonParallelMove(movements=(0.01, 0.02, 0.03))",
+    ),
+    "SafetyCheck": (
+        lambda: SafetyCheck(True, 0.5, 0.25, 0.25),
+        lambda: SafetyCheck(False, 0.5, -0.25, -0.25),
+        "SafetyCheck(passed=True, shifted_yield_margin=0.5, instantaneous_margin=0.25,"
+        " binding_margin=0.25)",
+    ),
+    "ArbitrageCandidate": (
+        lambda: ArbitrageCandidate((1, 2, 3), (1.0, 2.0, 3.0), 0.5, FLY),
+        lambda: ArbitrageCandidate((1, 2, 3), (1.0, 2.0, 3.0), 0.25, FLY),
+        "ArbitrageCandidate(indices=(1, 2, 3), legs=(1.0, 2.0, 3.0), margin=0.5,"
+        f" butterfly={FLY_REPR})",
+    ),
+    "CurveFile": (
+        lambda: CurveFile("swap", ((1.0, 0.01),), "label"),
+        lambda: CurveFile("swap", ((1.0, 0.01),)),
+        "CurveFile(curve_type='swap', points=((1.0, 0.01),), label='label')",
+    ),
+}
+
+
+def lookalike(record):
+    """A copy of ``record`` under a subclass: the same field values, another type."""
+    twin = copy.copy(record)
+    object.__setattr__(twin, "__class__", type("Lookalike", (type(record),), {}))
+    return twin
+
+
+@pytest.mark.parametrize("build, build_other, text", RECORDS.values(), ids=RECORDS.keys())
+class TestRecordSemantics:
+    def test_equality(self, build, build_other, text):
+        record = build()
+        assert record == build() and not record != build()
+        assert record != build_other() and not record == build_other()
+        assert record != lookalike(record) and lookalike(record) != record
+        assert record != tuple(vars(record).values())
+
+    def test_equal_records_hash_equal(self, build, build_other, text):
+        assert hash(build()) == hash(build())
+        assert len({build(), build(), build_other()}) == 2
+
+    def test_repr(self, build, build_other, text):
+        assert repr(build()) == text
+
+    def test_fields_cannot_be_assigned_or_deleted(self, build, build_other, text):
+        record = build()
+        for name in [*vars(record), "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == build()
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles_compare_equal(self, build, build_other, text, round_trip):
+        record = build()
+        twin = round_trip(record)
+        assert twin == record and type(twin) is type(record)
+        assert vars(twin) == vars(record)
+
+
+def test_records_of_different_types_differ_on_equal_values():
+    assert SwapCurve((0.01,)) != ForwardCurve((0.01,))
+    assert ForwardCurve((0.01,)) != SwapCurve((0.01,))
