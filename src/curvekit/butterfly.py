@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 
 from .bootstrap import ShiftScenario, bootstrap, shifted_bootstrap
-from .curves import RATE_HI, RATE_LO, DiscountCurve, SwapCurve, ZeroCurve, _Record, _require_valid
-from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins
+from .curves import RATE_HI, RATE_LO, SwapCurve, ZeroCurve, _Record, _require_valid
+from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins, _require_tol
 
 ZERO_BOND = "zero_bond"
 SWAP = "swap"
@@ -236,21 +236,11 @@ def swap_butterfly(swaps: SwapCurve, indices: tuple[int, int, int]) -> Butterfly
     n, m, k = indices
     if not (1 <= n < m < k <= len(swaps)):
         raise ValueError(f"need 1 <= n < m < k <= {len(swaps)}, got {indices}")
-    return _swap_weights(bootstrap(swaps, strict=True), indices)
-
-
-def _swap_weights(curve: DiscountCurve, indices: tuple[int, int, int]) -> Butterfly:
-    """Swap butterfly from a valid base curve at in-range grid years."""
-    n, m, k = indices
-    a_n, a_m, a_k = curve.annuities[n - 1], curve.annuities[m - 1], curve.annuities[k - 1]
+    annuities = bootstrap(swaps, strict=True).annuities
+    a_n, a_m, a_k = annuities[n - 1], annuities[m - 1], annuities[k - 1]
     w1 = a_k - a_m
     w3 = a_m - a_n
-    return Butterfly(
-        SWAP,
-        (int(n), int(m), int(k)),
-        (w1, w1 + w3, w3),
-        base_annuities=(a_n, a_m, a_k),
-    )
+    return Butterfly(SWAP, (int(n), int(m), int(k)), (w1, w1 + w3, w3), (a_n, a_m, a_k))
 
 
 def swap_butterfly_pnl(
@@ -291,23 +281,14 @@ def swap_butterfly_pnl(
     return PnlBreakdown(carry, mark, carry + mark, remaining)
 
 
-def scan_arbitrage(
-    curve: ZeroCurve | SwapCurve,
-    kind: str = ZERO_BOND,
-    mode: str = CONSECUTIVE,
-    tol: float = CLASSIFY_TOL,
-) -> tuple[ArbitrageCandidate, ...]:
-    """List the convex triples of a curve, ranked by margin.
+def _scan_hits(curve: ZeroCurve | SwapCurve, kind: str, mode: str, tol: float):
+    """Abscissae, legs per position and the ranked (-margin, i, j, k) hits.
 
-    Zero-bond kind scans (tenor, yield) points of a zero curve; swap kind
-    scans (annuity, swap rate) points of a swap curve.  Either way a
-    convex triple is the entry condition for a profitable butterfly under
-    common moves, so each hit is returned with its weights.  The curve
-    must be arbitrage-clean at the individual-instrument level first
-    (positive, decreasing discount factors); otherwise this raises.
-    Candidates are sorted by margin descending, ties by indices, so
-    results are deterministic.
+    The abscissae are tenors (zero-bond kind) or base annuities (swap
+    kind); a hit's weights are their differences, as in ``zero_butterfly``
+    and ``swap_butterfly``.  Legs are tenors or 1-based grid years.
     """
+    _require_tol(tol)
     if kind == ZERO_BOND:
         if not isinstance(curve, ZeroCurve):
             raise ValueError("zero_bond scan expects a ZeroCurve")
@@ -323,22 +304,42 @@ def scan_arbitrage(
                     f"point {pos}"
                 )
             prev = p
-        points = zip(curve.tenors, curve.yields)
+        xs, values, legs = curve.tenors, curve.yields, curve.tenors
     elif kind == SWAP:
         if not isinstance(curve, SwapCurve):
             raise ValueError("swap scan expects a SwapCurve")
         disc = _require_valid(bootstrap(curve), "curve")
-        points = zip(disc.annuities, curve.rates)
+        xs, values, legs = disc.annuities, curve.rates, range(1, len(curve) + 1)
     else:
         raise ValueError(f"unknown butterfly kind {kind!r}")
+    # Convex as classify_triple decides; ties rank by position.
+    hits = sorted((-m, i, j, k) for i, j, k, m in _margins(zip(xs, values), mode) if m > tol)
+    return xs, legs, hits
 
-    # Convex as classify_triple decides; only hits become objects, in order.
-    hits = sorted((-m, i, j, k) for i, j, k, m in _margins(points, mode) if m > tol)
+
+def scan_arbitrage(
+    curve: ZeroCurve | SwapCurve,
+    kind: str = ZERO_BOND,
+    mode: str = CONSECUTIVE,
+    tol: float = CLASSIFY_TOL,
+) -> tuple[ArbitrageCandidate, ...]:
+    """List the convex triples of a curve, ranked by margin.
+
+    Zero-bond kind scans (tenor, yield) points of a zero curve; swap kind
+    scans (annuity, swap rate) points of a swap curve.  Either way a
+    convex triple is the entry condition for a profitable butterfly under
+    common moves, so each hit is returned with its weights.  The curve
+    must be arbitrage-clean at the individual-instrument level first
+    (positive, decreasing discount factors); otherwise this raises, as
+    does a NaN or negative ``tol``.  Candidates are sorted by margin
+    descending, ties by indices, so results are deterministic.
+    """
+    xs, legs, hits = _scan_hits(curve, kind, mode, tol)
     candidates = []
     for neg_margin, i, j, k in hits:
-        if kind == ZERO_BOND:
-            fly = zero_butterfly(curve.tenors[i], curve.tenors[j], curve.tenors[k])
-        else:
-            fly = _swap_weights(disc, (i + 1, j + 1, k + 1))
-        candidates.append(ArbitrageCandidate((i + 1, j + 1, k + 1), fly.legs, -neg_margin, fly))
+        w1, w3 = xs[k] - xs[j], xs[j] - xs[i]
+        fly_legs = (legs[i], legs[j], legs[k])
+        annuities = (xs[i], xs[j], xs[k]) if kind == SWAP else None
+        fly = Butterfly(kind, fly_legs, (w1, w1 + w3, w3), annuities)
+        candidates.append(ArbitrageCandidate((i + 1, j + 1, k + 1), fly_legs, -neg_margin, fly))
     return tuple(candidates)

@@ -28,9 +28,9 @@ from .bootstrap import ShiftScenario, bootstrap, shift_response, shifted_bootstr
 from .butterfly import (
     SWAP,
     ZERO_BOND,
+    _scan_hits,
     nonparallel_safe,
     nonparallel_weights,
-    scan_arbitrage,
     swap_butterfly,
     swap_butterfly_pnl,
     zero_butterfly,
@@ -240,16 +240,17 @@ def cmd_scan(path: str, kind: str, mode: str, tol: float, out: str | None) -> No
     curve_file = curve_io.read_curve_file(path, file_type)
     _require_finite("--tol", tol)
     scan_mode = CONSECUTIVE if mode == "consecutive" else ALL_TRIPLES
-    if kind == "zero":
-        candidates = scan_arbitrage(curve_file.to_zero_curve(), ZERO_BOND, scan_mode, tol=tol)
-    else:
-        candidates = scan_arbitrage(curve_file.to_swap_curve(), SWAP, scan_mode, tol=tol)
-    # Each distinct leg and weight is formatted once; _fmt prints 0.0 and -0.0 alike.
-    cell = functools.cache(lambda x: _fmt(float(x)))
+    curve = curve_file.to_zero_curve() if kind == "zero" else curve_file.to_swap_curve()
+    xs, legs, hits = _scan_hits(curve, ZERO_BOND if kind == "zero" else SWAP, scan_mode, tol)
+    # scan_arbitrage's candidates as rows; each leg and distinct weight is formatted once.
+    leg = [_fmt(float(x)) for x in legs]
+    cell = functools.cache(_fmt)
     lines = ["leg1,leg2,leg3,margin,w1,w2,w3"]
-    for cand in candidates:
-        legs, weights = map(cell, cand.legs), map(cell, cand.butterfly.weights)
-        lines.append(",".join((*legs, _fmt(cand.margin), *weights)))
+    for neg_margin, i, j, k in hits:
+        w1 = xs[k] - xs[j]
+        w3 = xs[j] - xs[i]
+        margin = format(-neg_margin, ".12g")  # a hit's margin exceeds tol >= 0
+        lines.append(f"{leg[i]},{leg[j]},{leg[k]},{margin},{cell(w1)},{cell(w1 + w3)},{cell(w3)}")
     _emit(lines, out)
 
 
@@ -271,42 +272,23 @@ def cmd_butterfly(path: str, kind: str, legs: str, moves: str | None, out: str |
         idx = _parse_triple(legs, "--legs", as_int=True)
         fly = swap_butterfly(curve_file.to_swap_curve(), idx)
         header = "kind,leg1,leg2,leg3,w1,w2,w3,annuity1,annuity2,annuity3"
-        w1, w2, w3 = fly.weights
-        a1, a2, a3 = fly.base_annuities
-        row = (
-            f"swap,{idx[0]},{idx[1]},{idx[2]},"
-            f"{_fmt(w1)},{_fmt(w2)},{_fmt(w3)},{_fmt(a1)},{_fmt(a2)},{_fmt(a3)}"
-        )
-        _emit([header, row], out)
+        cells = ["swap", *map(str, idx), *map(_fmt, fly.weights + fly.base_annuities)]
+        _emit([header, ",".join(cells)], out)
         return
     t1, t2, t3 = _parse_triple(legs, "--legs")
     fly = zero_butterfly(t1, t2, t3)
-    w1, w2, w3 = fly.weights
-    if moves is None:
-        header = "kind,leg1,leg2,leg3,w1,w2,w3"
-        row = (
-            f"zero_bond,{_fmt(t1)},{_fmt(t2)},{_fmt(t3)},"
-            f"{_fmt(w1)},{_fmt(w2)},{_fmt(w3)}"
-        )
-        _emit([header, row], out)
-        return
-    zero = curve_file.to_zero_curve()
-    yields = tuple(zero.yield_at(t) for t in (t1, t2, t3))
-    movements = tuple(m * BP for m in _parse_triple(moves, "--moves"))
-    npw = nonparallel_weights(movements, (t1, t2, t3))
-    safety = nonparallel_safe(npw, (t1, t2, t3), yields, movements)
-    header = (
-        "kind,leg1,leg2,leg3,w1,w2,w3,npw1,npw2,npw3,"
-        "shifted_yield_margin,instantaneous_margin,safe"
-    )
-    row = (
-        f"zero_bond,{_fmt(t1)},{_fmt(t2)},{_fmt(t3)},"
-        f"{_fmt(w1)},{_fmt(w2)},{_fmt(w3)},"
-        f"{_fmt(npw[0])},{_fmt(npw[1])},{_fmt(npw[2])},"
-        f"{_fmt(safety.shifted_yield_margin)},{_fmt(safety.instantaneous_margin)},"
-        f"{'true' if safety.passed else 'false'}"
-    )
-    _emit([header, row], out)
+    header = "kind,leg1,leg2,leg3,w1,w2,w3"
+    cells = ["zero_bond", *map(_fmt, (t1, t2, t3) + fly.weights)]
+    if moves is not None:
+        zero = curve_file.to_zero_curve()
+        yields = tuple(zero.yield_at(t) for t in (t1, t2, t3))
+        movements = tuple(m * BP for m in _parse_triple(moves, "--moves"))
+        npw = nonparallel_weights(movements, (t1, t2, t3))
+        safety = nonparallel_safe(npw, (t1, t2, t3), yields, movements)
+        header += ",npw1,npw2,npw3,shifted_yield_margin,instantaneous_margin,safe"
+        margins = (safety.shifted_yield_margin, safety.instantaneous_margin)
+        cells += [*map(_fmt, npw + margins), "true" if safety.passed else "false"]
+    _emit([header, ",".join(cells)], out)
 
 
 @main.command("pnl")

@@ -147,10 +147,10 @@ def parse_structured(text: str) -> CurveFile:
             raise CurveFileError(f"points[{i}] must be an object with keys 't' and 'r'")
         t, r = entry["t"], entry["r"]
         try:
-            if isinstance(t, bool) or isinstance(r, bool):
-                raise TypeError  # JSON true and false are not numbers
+            if type(t) not in (int, float) or type(r) not in (int, float):
+                raise TypeError  # strings, true and false are not JSON numbers
             points.append((float(t), float(r)))
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, OverflowError):  # OverflowError: an integer beyond float range
             raise CurveFileError(f"points[{i}] has non-numeric 't' or 'r'") from None
     label = obj.get("label")
     if label is not None and not isinstance(label, str):

@@ -70,8 +70,15 @@ def _verdict(margin: float, tol: float) -> str:
     return CONVEX if margin > tol else CONCAVE if margin < -tol else AFFINE
 
 
+def _require_tol(tol: float) -> None:
+    """Refuse a NaN or negative tolerance, which would misclassify silently."""
+    if not tol >= 0:
+        raise ValueError(f"classification tolerance must be >= 0, got {tol!r}")
+
+
 def classify_triple(points, tol: float = CLASSIFY_TOL) -> TripleClassification:
     """Classify three (abscissa, value) points as convex, concave or affine."""
+    _require_tol(tol)
     (x1, v1), (x2, v2), (x3, v3) = points
     if not (x1 < x2 < x3):
         raise ValueError("abscissas must be strictly increasing")
@@ -91,18 +98,27 @@ def _margins(points, mode: str):
     if not all(b > a for (a, _), (b, _) in zip(pts, pts[1:])):  # NaN is no increase
         raise ValueError("abscissas must be strictly increasing")
     if mode == CONSECUTIVE:
-        triples = ((i, i + 1, i + 2) for i in range(n - 2))
+        for i in range(n - 2):
+            (x1, v1), (x2, v2), (x3, v3) = pts[i], pts[i + 1], pts[i + 2]
+            yield i, i + 1, i + 2, (x3 - x2) * (v1 - v2) + (x2 - x1) * (v3 - v2)
     elif mode == ALL_TRIPLES:
         if n > ALL_TRIPLES_CAP:
             raise ValueError(
                 f"all-triples scan over {n} points exceeds the cap of {ALL_TRIPLES_CAP}"
             )
-        triples = ((i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
+        # Right legs (k, x3 - x2, v3 - v2) per middle point j: a triple costs two products.
+        right = [
+            [(k, x3 - x2, v3 - v2) for k, (x3, v3) in enumerate(pts[j + 1 :], j + 1)]
+            for j, (x2, v2) in enumerate(pts)
+        ]
+        for i, (x1, v1) in enumerate(pts):
+            for j in range(i + 1, n):
+                x2, v2 = pts[j]
+                dx, dv = x2 - x1, v1 - v2
+                for k, a, b in right[j]:
+                    yield i, j, k, a * dv + dx * b
     else:
         raise ValueError(f"unknown scan mode {mode!r}")
-    for i, j, k in triples:
-        (x1, v1), (x2, v2), (x3, v3) = pts[i], pts[j], pts[k]
-        yield i, j, k, (x3 - x2) * (v1 - v2) + (x2 - x1) * (v3 - v2)
 
 
 def scan_curve_shape(
@@ -113,6 +129,7 @@ def scan_curve_shape(
     ``consecutive`` scans the N-2 windows (i, i+1, i+2); ``all_triples``
     scans every i < j < k and refuses more than ``ALL_TRIPLES_CAP`` points.
     """
+    _require_tol(tol)
     triples = tuple(
         (i, j, k, TripleClassification(_verdict(margin, tol), margin))
         for i, j, k, margin in _margins(points, mode)

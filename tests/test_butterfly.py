@@ -347,6 +347,11 @@ def antisymmetric_zero_curve(n=15, seed=6):
 SCAN_CURVES = {
     "zero-sampled": lambda: ("zero_bond", zeros_from_discounts(random_discount_curve(Random(7), 15))),
     "zero-antisymmetric": lambda: ("zero_bond", antisymmetric_zero_curve()),
+    # Dyadic yields: every margin is an exact binary fraction, and they tie
+    # in both modes, so the ranking among them falls to the indices.
+    "zero-tied": lambda: (
+        "zero_bond", ZeroCurve(range(1, 7), tuple(e / 64 for e in (1, 1, 2, 2, 3, 3)))
+    ),
     "swap-sampled": lambda: ("swap", random_swap_curve(Random(8), 15)),
 }
 
@@ -456,6 +461,14 @@ class TestScanArbitrage:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             scan_arbitrage(ZeroCurve((1.0, 2.0), (0.02, 0.03)))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9])
+    @pytest.mark.parametrize("kind", ["zero_bond", "swap"])
+    def test_nan_or_negative_tolerance_is_refused(self, kind, tol):
+        # NaN would return no candidates; a negative tol would list concave triples.
+        curve = self.concave_zero_curve() if kind == "zero_bond" else SwapCurve((0.03,) * 5)
+        with pytest.raises(ValueError, match="classification tolerance must be >= 0"):
+            scan_arbitrage(curve, kind, "all_triples", tol)
 
     def test_kind_and_curve_must_agree(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from curvekit.butterfly import SWAP, ZERO_BOND, scan_arbitrage
 from curvekit.cli import _fmt, main
 from curvekit.curves import zeros_from_discounts
 from curvekit.sampling import random_discount_curve, random_swap_curve
-from curvekit.shape import ALL_TRIPLES
+from curvekit.shape import ALL_TRIPLES, CONSECUTIVE
 
 FLAT_CSV = "tenor_years,rate\n1,0.05\n2,0.05\n3,0.05\n"
 BUMP_CSV = "tenor_years,rate\n1,0.051\n2,0.05\n3,0.05\n"
@@ -199,15 +199,20 @@ class TestScanCommand:
         margins = [float(r.split(",")[3]) for r in result.output.splitlines()[1:]]
         assert margins == sorted(margins, reverse=True)
 
-    @pytest.mark.parametrize("kind", ["zero", "swap"])
-    def test_all_triples_rows_format_the_library_candidates(self, runner, tmp_path, kind):
+    @pytest.mark.parametrize(
+        "kind, mode",
+        [("zero", "all"), ("swap", "all"), ("zero", "consecutive"), ("swap", "consecutive")],
+        ids=["zero", "swap", "zero-consecutive", "swap-consecutive"],
+    )
+    def test_all_triples_rows_format_the_library_candidates(self, runner, tmp_path, kind, mode):
+        scan_mode = ALL_TRIPLES if mode == "all" else CONSECUTIVE
         rng = Random(3)
         if kind == "zero":
             curve = zeros_from_discounts(random_discount_curve(rng, 15))
             points = [{"t": t, "r": r} for t, r in zip(curve.tenors, curve.yields)]
             path = tmp_path / "zero.json"
             path.write_text(json.dumps({"curve_type": "zero", "points": points}))
-            candidates = scan_arbitrage(curve, ZERO_BOND, ALL_TRIPLES)
+            candidates = scan_arbitrage(curve, ZERO_BOND, scan_mode)
         else:
             curve = random_swap_curve(rng, 12)
             path = tmp_path / "swap.csv"
@@ -215,14 +220,35 @@ class TestScanCommand:
                 "tenor_years,rate\n"
                 + "".join(f"{n},{r!r}\n" for n, r in enumerate(curve.rates, start=1))
             )
-            candidates = scan_arbitrage(curve, SWAP, ALL_TRIPLES)
-        result = runner.invoke(main, ["scan", str(path), "--kind", kind, "--mode", "all"])
+            candidates = scan_arbitrage(curve, SWAP, scan_mode)
+        result = runner.invoke(main, ["scan", str(path), "--kind", kind, "--mode", mode])
         assert result.exit_code == 0
         rows = result.output.splitlines()[1:]
         assert len(rows) == len(candidates) > 0
         for row, c in zip(rows, candidates):
             cells = (*c.legs, c.margin, *c.butterfly.weights)
             assert row == ",".join(_fmt(float(x)) for x in cells)
+
+    @pytest.mark.parametrize("mode", ["consecutive", "all"])
+    def test_tied_margins_rank_by_leg_indices(self, runner, tmp_path, mode):
+        # Dyadic yields: margins are exact binary fractions, many equal.
+        yields = (1 / 64, 1 / 64, 2 / 64, 2 / 64, 3 / 64, 3 / 64)
+        path = tmp_path / "tied.json"
+        points = [{"t": t, "r": r} for t, r in enumerate(yields, start=1)]
+        path.write_text(json.dumps({"curve_type": "zero", "points": points}))
+        result = runner.invoke(main, ["scan", str(path), "--mode", mode, "--tol", "0"])
+        assert result.exit_code == 0
+        ranked = [
+            (-float(margin), int(l1), int(l2), int(l3))
+            for l1, l2, l3, margin, *_ in (r.split(",") for r in result.output.splitlines()[1:])
+        ]
+        assert ranked == sorted(ranked)
+        assert len({m for m, *_ in ranked}) < len(ranked)  # the curve does tie
+
+    def test_negative_tolerance_is_refused(self, runner, flat):
+        result = runner.invoke(main, ["scan", flat, "--kind", "swap", "--tol", "-1"])
+        assert_clean_refusal(result, 1)
+        assert result.stderr == "error: classification tolerance must be >= 0, got -1.0\n"
 
     def test_two_points_exit_1(self, runner, tmp_path):
         path = tmp_path / "two.csv"
@@ -537,6 +563,12 @@ class TestHostileFlags:
                 "points[1] has non-numeric 't' or 'r'",
             ),
             (
+                b'{"curve_type":"swap","points":[{"t":"1","r":"0.02"},{"t":"2","r":"0.03"}]}',
+                ["bootstrap", "{path}"],
+                2,
+                "points[0] has non-numeric 't' or 'r'",
+            ),
+            (
                 b'{"curve_type":"zero","points":' + b"[" * 100000 + b"]" * 100000 + b"}",
                 ["validate", "{path}"],
                 2,
@@ -555,6 +587,7 @@ class TestHostileFlags:
             "json-integer-beyond-digit-limit",
             "json-boolean-tenor",
             "json-boolean-rate",
+            "json-numeric-strings",
             "json-nesting-beyond-recursion-limit",
         ],
     )

@@ -73,6 +73,12 @@ class TestStructured:
         with pytest.raises(CurveFileError):
             parse_structured('{"curve_type": "swap", "points": [{"t": 1, "r": "x"}]}')
 
+    @pytest.mark.parametrize("point", ['{"t": "1", "r": 0.02}', '{"t": 1, "r": "0.02"}'])
+    def test_numeric_strings_are_not_numbers(self, point):
+        text = '{"curve_type": "swap", "points": [%s]}' % point
+        with pytest.raises(CurveFileError, match=r"^points\[0\] has non-numeric 't' or 'r'$"):
+            parse_structured(text)
+
 
 class TestCurveFileInvariants:
     def test_unknown_type(self):

@@ -15,11 +15,13 @@ from curvekit.curves import SwapCurve, ZeroCurve
 from curvekit.sampling import random_nondecreasing_swap_curve, random_swap_curve
 from curvekit.shape import (
     ALL_TRIPLES,
+    ALL_TRIPLES_CAP,
     CONCAVE,
     CONCAVE_EVERYWHERE,
     CONSECUTIVE,
     CONVEX,
     CONVEX_SOMEWHERE,
+    _margins,
     annuity_point_classification,
     classify_triple,
     ratio_monotonicity,
@@ -137,6 +139,59 @@ class TestScanCurveShape:
         self.assert_both_refuse(
             points, ALL_TRIPLES, "all-triples scan over 201 points exceeds the cap of 200"
         )
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf])
+    def test_nan_or_negative_tolerance_is_refused(self, tol):
+        # A NaN tolerance would call every triple affine, a negative one
+        # concave triples convex.
+        points = [(1.0, 0.02), (2.0, 0.01), (3.0, 0.02), (4.0, 0.05)]
+        message = f"classification tolerance must be >= 0, got {tol!r}"
+        for mode in (CONSECUTIVE, ALL_TRIPLES):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                scan_curve_shape(points, mode=mode, tol=tol)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classify_triple(points[:3], tol=tol)
+
+    def test_zero_tolerance_is_accepted(self):
+        assert classify_triple(((1.0, 0.02), (2.0, 0.02), (3.0, 0.02)), tol=0.0).verdict == "affine"
+
+
+def zero_points(n, seed):
+    rng = Random(seed)
+    return [(float(t), 0.02 + 0.001 * t + rng.uniform(-2.5e-4, 2.5e-4)) for t in range(1, n + 1)]
+
+
+def annuity_points(n, seed):
+    swaps = random_swap_curve(Random(seed), n)
+    return list(zip(bootstrap(swaps).annuities, swaps.rates))
+
+
+class TestMarginGenerator:
+    @pytest.mark.parametrize(
+        "points",
+        [zero_points(45, 1), annuity_points(40, 2), zero_points(ALL_TRIPLES_CAP, 3)],
+        ids=["zero-n45", "annuity-n40", "zero-at-cap"],
+    )
+    def test_all_triples_margins_are_classify_triples_bit_for_bit(self, points):
+        # Streamed: the 200-point curve has 1,313,400 triples.
+        got = _margins(points, ALL_TRIPLES)
+        want = combinations(range(len(points)), 3)
+        mismatches = [
+            (i, j, k)
+            for (i, j, k, m), triple in zip(got, want, strict=True)
+            if (i, j, k) != triple
+            or m.hex() != classify_triple((points[i], points[j], points[k])).margin.hex()
+        ]
+        assert mismatches == []
+
+    def test_consecutive_margins_are_classify_triples_bit_for_bit(self):
+        points = annuity_points(40, 4)
+        got = [(i, j, k, m.hex()) for i, j, k, m in _margins(points, CONSECUTIVE)]
+        want = [
+            (i, i + 1, i + 2, classify_triple(points[i : i + 3]).margin.hex())
+            for i in range(len(points) - 2)
+        ]
+        assert got == want
 
 
 class TestAnnuityPoints:
