@@ -34,7 +34,7 @@ from .curves import (
     _check_rate_range,
     _Record,
 )
-from .shape import CONCAVE, CONVEX, annuity_point_classification, ratio_monotonicity
+from .shape import CONCAVE, CONSECUTIVE, CONVEX, _margins, _verdict, ratio_monotonicity
 
 PARALLEL = "parallel"
 PER_TENOR = "per_tenor"
@@ -370,14 +370,12 @@ def _annuity_ratio_decreasing(base: DiscountCurve, shifted: DiscountCurve) -> Ch
 def _annuity_triples(
     base: DiscountCurve, shifted: DiscountCurve, bad_verdict: str
 ) -> CheckResult:
-    for n in range(1, len(base) - 1):
-        idx = (n, n + 1, n + 2)
-        cls = annuity_point_classification(base, shifted, idx)
-        if cls.verdict == bad_verdict:
+    for i, _, _, margin in _margins(zip(base.annuities, shifted.annuities), CONSECUTIVE):
+        if _verdict(margin) == bad_verdict:
             return CheckResult(
                 "annuity_triples",
                 False,
-                n,
-                f"triple {idx} classifies {cls.verdict} (margin {cls.margin:.3e})",
+                i + 1,
+                f"triple {(i + 1, i + 2, i + 3)} classifies {bad_verdict} (margin {margin:.3e})",
             )
     return CheckResult("annuity_triples", True)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 
 from .bootstrap import ShiftScenario, bootstrap, shifted_bootstrap
-from .curves import RATE_HI, RATE_LO, SwapCurve, ZeroCurve, _Record, _require_valid
-from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins, _require_tol
+from .curves import RATE_HI, RATE_LO, SwapCurve, ZeroCurve, _Record, _require_tol, _require_valid
+from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins
 
 ZERO_BOND = "zero_bond"
 SWAP = "swap"
@@ -288,7 +288,7 @@ def _scan_hits(curve: ZeroCurve | SwapCurve, kind: str, mode: str, tol: float):
     kind); a hit's weights are their differences, as in ``zero_butterfly``
     and ``swap_butterfly``.  Legs are tenors or 1-based grid years.
     """
-    _require_tol(tol)
+    _require_tol(tol, "classification")
     if kind == ZERO_BOND:
         if not isinstance(curve, ZeroCurve):
             raise ValueError("zero_bond scan expects a ZeroCurve")

@@ -308,6 +308,12 @@ def par_rates(curve: DiscountCurve) -> SwapCurve:
     )
 
 
+def _require_tol(tol: float, what: str) -> None:
+    """Refuse a NaN or negative tolerance, which would pass or misclassify silently."""
+    if not tol >= 0:
+        raise ValueError(f"{what} tolerance must be >= 0, got {tol!r}")
+
+
 def validate(curve: DiscountCurve, tol: float = MONOTONE_TOL) -> ValidationReport:
     """Report every no-arbitrage violation of a discount curve.
 
@@ -319,33 +325,33 @@ def validate(curve: DiscountCurve, tol: float = MONOTONE_TOL) -> ValidationRepor
       exceed ``tol`` (intervals whose end-year price is exactly zero are
       skipped here -- the positivity finding already covers them).
 
-    Violations are data, not errors: this never raises.  Discount
-    findings carry the 1-based year; forward findings carry the interval
-    start index (0 = spot year).
+    Findings are data; only a NaN or negative ``tol`` raises ValueError.
+    Discount findings come first, by 1-based year; forward findings follow,
+    by interval start index (0 = spot year).
     """
-    violations: list[Violation] = []
+    _require_tol(tol, "validation")
+    return ValidationReport.from_violations(_violations(curve, tol))
+
+
+def _violations(curve: DiscountCurve, tol: float = MONOTONE_TOL):
+    forwards = []
     prev = 1.0
     for n, p in enumerate(curve.factors, start=1):
         if p <= tol:
-            violations.append(Violation(n, NON_POSITIVE_DISCOUNT, p))
+            yield Violation(n, NON_POSITIVE_DISCOUNT, p)
         if p >= prev - tol:
-            violations.append(Violation(n, NON_DECREASING_DISCOUNT, p))
-        prev = p
-    prev = 1.0
-    for i, p in enumerate(curve.factors):
+            yield Violation(n, NON_DECREASING_DISCOUNT, p)
         if p != 0.0:
             f = prev / p - 1.0
             if f <= tol:
-                violations.append(Violation(i, NON_POSITIVE_FORWARD, f))
+                forwards.append(Violation(n - 1, NON_POSITIVE_FORWARD, f))
         prev = p
-    return ValidationReport.from_violations(violations)
+    yield from forwards
 
 
 def _require_valid(curve: DiscountCurve, what: str) -> DiscountCurve:
     """The curve itself, or ValueError naming its first validation finding."""
-    report = validate(curve)
-    if not report.ok:
-        first = report.violations[0]
+    for first in _violations(curve):
         raise ValueError(f"{what} fails validation: {first.kind} at index {first.index}")
     return curve
 

@@ -24,7 +24,7 @@ of a sane curve produces.
 
 from __future__ import annotations
 
-from .curves import MONOTONE_TOL, CheckResult, DiscountCurve, _Record
+from .curves import MONOTONE_TOL, CheckResult, DiscountCurve, _Record, _require_tol
 
 CONVEX = "convex"
 CONCAVE = "concave"
@@ -66,19 +66,13 @@ class ShapeReport(_Record):
         object.__setattr__(self, "overall", overall)
 
 
-def _verdict(margin: float, tol: float) -> str:
+def _verdict(margin: float, tol: float = CLASSIFY_TOL) -> str:
     return CONVEX if margin > tol else CONCAVE if margin < -tol else AFFINE
-
-
-def _require_tol(tol: float) -> None:
-    """Refuse a NaN or negative tolerance, which would misclassify silently."""
-    if not tol >= 0:
-        raise ValueError(f"classification tolerance must be >= 0, got {tol!r}")
 
 
 def classify_triple(points, tol: float = CLASSIFY_TOL) -> TripleClassification:
     """Classify three (abscissa, value) points as convex, concave or affine."""
-    _require_tol(tol)
+    _require_tol(tol, "classification")
     (x1, v1), (x2, v2), (x3, v3) = points
     if not (x1 < x2 < x3):
         raise ValueError("abscissas must be strictly increasing")
@@ -95,11 +89,13 @@ def _margins(points, mode: str):
     n = len(pts)
     if n < 3:
         raise ValueError("shape scan needs at least 3 points")
-    if not all(b > a for (a, _), (b, _) in zip(pts, pts[1:])):  # NaN is no increase
-        raise ValueError("abscissas must be strictly increasing")
+    if mode != CONSECUTIVE and not all(b > a for (a, _), (b, _) in zip(pts, pts[1:])):
+        raise ValueError("abscissas must be strictly increasing")  # NaN is no increase
     if mode == CONSECUTIVE:
         for i in range(n - 2):
             (x1, v1), (x2, v2), (x3, v3) = pts[i], pts[i + 1], pts[i + 2]
+            if not x1 < x2 < x3:  # per window, as classify_triple: early stops keep its order
+                raise ValueError("abscissas must be strictly increasing")
             yield i, i + 1, i + 2, (x3 - x2) * (v1 - v2) + (x2 - x1) * (v3 - v2)
     elif mode == ALL_TRIPLES:
         if n > ALL_TRIPLES_CAP:
@@ -129,7 +125,7 @@ def scan_curve_shape(
     ``consecutive`` scans the N-2 windows (i, i+1, i+2); ``all_triples``
     scans every i < j < k and refuses more than ``ALL_TRIPLES_CAP`` points.
     """
-    _require_tol(tol)
+    _require_tol(tol, "classification")
     triples = tuple(
         (i, j, k, TripleClassification(_verdict(margin, tol), margin))
         for i, j, k, margin in _margins(points, mode)

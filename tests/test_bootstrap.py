@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from curvekit.bootstrap import (
     BootstrapError,
     ShiftScenario,
+    _annuity_triples,
     apply_shift,
     bootstrap,
     check_annuity_bound,
@@ -24,12 +25,13 @@ from curvekit.bootstrap import (
 from curvekit.curves import (
     NON_DECREASING_DISCOUNT,
     NON_POSITIVE_DISCOUNT,
+    CheckResult,
     DiscountCurve,
     SwapCurve,
     validate,
 )
 from curvekit.sampling import random_nondecreasing_swap_curve, random_swap_curve
-from curvekit.shape import ratio_monotonicity
+from curvekit.shape import CONCAVE, CONVEX, annuity_point_classification, ratio_monotonicity
 
 
 def flat(rate: float, n: int) -> SwapCurve:
@@ -394,3 +396,37 @@ class TestShiftResponse:
         ratio = rows["discount_ratio_monotone"]
         assert ratio == ratio_monotonicity(base, shifted)
         assert not ratio.passed and ratio.first_violation == 1
+
+    @staticmethod
+    def reference_annuity_triples(base, shifted, bad_verdict):
+        """The triple row as one annuity_point_classification per window."""
+        for n in range(1, len(base) - 1):
+            idx = (n, n + 1, n + 2)
+            cls = annuity_point_classification(base, shifted, idx)
+            if cls.verdict == bad_verdict:
+                detail = f"triple {idx} classifies {cls.verdict} (margin {cls.margin:.3e})"
+                return CheckResult("annuity_triples", False, n, detail)
+        return CheckResult("annuity_triples", True)
+
+    def test_annuity_triples_match_the_per_window_classification(self):
+        # Sampled curves of every size under rises and falls.  Invalid N=1000
+        # bases stop increasing in annuity: a bad verdict before the stall is
+        # reported as a failure, a stall first is refused, as per window.
+        seen = set()
+        for n in (3, 20, 100, 1000):
+            rng = Random(f"triples{n}")
+            for swaps in (random_swap_curve(rng, n), random_nondecreasing_swap_curve(rng, n)):
+                base = bootstrap(swaps)
+                for y in (0.01, 0.0001, -0.0001, -0.006):
+                    shifted = shifted_bootstrap(swaps, ShiftScenario.parallel(y))
+                    bad = CONCAVE if y < 0 else CONVEX
+                    outcomes = []
+                    for check in (self.reference_annuity_triples, _annuity_triples):
+                        try:
+                            outcomes.append(check(base, shifted, bad))
+                        except ValueError as exc:
+                            outcomes.append(str(exc))
+                    assert outcomes[0] == outcomes[1], (n, y)
+                    result = outcomes[0]
+                    seen.add(result if isinstance(result, str) else result.passed)
+        assert seen == {True, False, "abscissas must be strictly increasing"}

@@ -489,6 +489,29 @@ class TestHostileFlags:
         result = runner.invoke(main, [a.format(flat=flat) for a in args])
         assert_clean_refusal(result, 1)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["validate", "{discount}", "--curve-type", "discount", "--tol", "-1"],
+                "validation tolerance must be >= 0, got -1.0",
+            ),
+            (["verify", "{flat}", "--trials", "-3"], "--trials must be >= 0"),
+        ],
+        ids=["validate-negative-tol", "verify-negative-trials"],
+    )
+    def test_negative_tolerance_or_trial_count_is_refused(
+        self, runner, flat, tmp_path, args, message
+    ):
+        # Both used to exit 0: validate printing only its header on a curve
+        # with a zero factor, verify running no trials.
+        discount = tmp_path / "discount.csv"
+        discount.write_text("tenor_years,rate\n1,0.9\n2,0.95\n3,0.0\n")
+        fields = {"flat": flat, "discount": str(discount)}
+        result = runner.invoke(main, [a.format(**fields) for a in args])
+        assert_clean_refusal(result, 1)
+        assert result.stderr == f"error: {message}\n"
+
     @pytest.mark.parametrize("grid", ["0:1e300:1e290", "0:100001:1", "0:1:1e-300"])
     def test_shift_grid_beyond_the_row_cap_is_refused(self, runner, flat, grid):
         args = ["pnl", flat, "--kind", "swap", "--legs", "1,2,3", "--shift-bp", grid]

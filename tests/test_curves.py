@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvekit.bootstrap import LimitReport, ShiftScenario
+from curvekit import curves
+from curvekit.bootstrap import LimitReport, ShiftScenario, bootstrap
 from curvekit.butterfly import (
     ArbitrageCandidate,
     Butterfly,
@@ -18,6 +19,7 @@ from curvekit.butterfly import (
     SafetyCheck,
 )
 from curvekit.curves import (
+    MONOTONE_TOL,
     NON_DECREASING_DISCOUNT,
     NON_POSITIVE_DISCOUNT,
     NON_POSITIVE_FORWARD,
@@ -28,6 +30,8 @@ from curvekit.curves import (
     ValidationReport,
     Violation,
     ZeroCurve,
+    _require_valid,
+    _violations,
     discounts_from_zeros,
     forward_rates,
     par_rates,
@@ -37,7 +41,11 @@ from curvekit.curves import (
     zeros_from_discounts,
 )
 from curvekit.io import CurveFile
-from curvekit.sampling import random_discount_curve
+from curvekit.sampling import (
+    random_discount_curve,
+    random_nondecreasing_swap_curve,
+    random_swap_curve,
+)
 from curvekit.shape import ShapeReport, TripleClassification
 
 
@@ -253,6 +261,102 @@ class TestValidate:
             f > 0.0 for f in forward_rates(curve).forwards
         )
         assert validate(curve).ok == (decreasing and positive_forwards)
+
+
+def reference_violations(curve: DiscountCurve, tol: float) -> list[Violation]:
+    """validate's findings as two full passes: every discount finding by year,
+    then every forward finding."""
+    violations = []
+    prev = 1.0
+    for n, p in enumerate(curve.factors, start=1):
+        if p <= tol:
+            violations.append(Violation(n, NON_POSITIVE_DISCOUNT, p))
+        if p >= prev - tol:
+            violations.append(Violation(n, NON_DECREASING_DISCOUNT, p))
+        prev = p
+    prev = 1.0
+    for i, p in enumerate(curve.factors):
+        if p != 0.0:
+            f = prev / p - 1.0
+            if f <= tol:
+                violations.append(Violation(i, NON_POSITIVE_FORWARD, f))
+        prev = p
+    return violations
+
+
+def validation_corpus():
+    """Sampled curves of every size, broken copies, and hand-made curves that
+    raise each kind of finding, forward findings before later discount ones."""
+    for n in (3, 20, 100, 1000):
+        rng = Random(f"validate{n}")
+        for _ in range(3):
+            curve = random_discount_curve(rng, n)
+            yield curve
+            factors = list(curve.factors)
+            for pos in sorted(rng.sample(range(n), min(n, 3))):
+                factors[pos] *= rng.choice((1.5, -1.0, 0.0))
+            yield DiscountCurve(tuple(factors))
+            yield bootstrap(random_swap_curve(rng, n))
+            yield bootstrap(random_nondecreasing_swap_curve(rng, n, 0.03, 0.06))
+    for factors in (
+        (0.9, 0.95, 0.0),
+        (0.95, -0.1),
+        (1.0, 0.9),
+        (0.9, 0.0, 0.5, 0.4),
+        (3.0, 2.8, 2.9),
+        (1e-13, 1e-14, 2e-14),
+    ):
+        yield DiscountCurve(factors)
+
+
+def fingerprint(violations) -> list[tuple[str, str]]:
+    return [(repr(v), v.value.hex()) for v in violations]
+
+
+class TestViolationStream:
+    @pytest.mark.parametrize("tol", [MONOTONE_TOL, 0.0, 1e-6, 0.1])
+    def test_stream_and_report_match_the_two_pass_reference(self, tol):
+        kinds = set()
+        for curve in validation_corpus():
+            want = fingerprint(reference_violations(curve, tol))
+            assert fingerprint(_violations(curve, tol)) == want
+            report = validate(curve, tol)
+            assert fingerprint(report.violations) == want
+            assert report.ok == (not want)
+            kinds.update(v.kind for v in report.violations)
+        assert kinds == {NON_POSITIVE_DISCOUNT, NON_DECREASING_DISCOUNT, NON_POSITIVE_FORWARD}
+
+    def test_require_valid_quotes_the_first_finding(self):
+        for curve in validation_corpus():
+            want = reference_violations(curve, MONOTONE_TOL)
+            if not want:
+                assert _require_valid(curve, "curve") is curve
+                continue
+            message = f"curve fails validation: {want[0].kind} at index {want[0].index}"
+            with pytest.raises(ValueError) as exc:
+                _require_valid(curve, "curve")
+            assert str(exc.value) == message
+
+    def test_require_valid_builds_only_the_first_finding(self, monkeypatch):
+        curve = bootstrap(random_swap_curve(Random(1), 1000))
+        assert len(validate(curve).violations) > 1000
+        built = []
+
+        def counting_violation(*args):
+            built.append(args)
+            return Violation(*args)
+
+        monkeypatch.setattr(curves, "Violation", counting_violation)
+        with pytest.raises(ValueError, match="curve fails validation"):
+            _require_valid(curve, "curve")
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -math.inf])
+    def test_nan_or_negative_tolerance_is_refused(self, tol):
+        # Both used to report ok=True on a curve with a zero factor.
+        with pytest.raises(ValueError) as exc:
+            validate(DiscountCurve((0.9, 0.95, 0.0)), tol=tol)
+        assert str(exc.value) == f"validation tolerance must be >= 0, got {tol!r}"
 
 
 class TestZeroDiscountConversions:
