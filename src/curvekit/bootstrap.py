@@ -131,8 +131,13 @@ def bootstrap(swaps: SwapCurve, *, strict: bool = False) -> DiscountCurve:
 
 def _bootstrap_rates(rates: tuple[float, ...], strict: bool) -> DiscountCurve:
     """The bootstrap recursion over rates already checked as a SwapCurve's."""
-    factors: list[float] = []
-    annuities: list[float] = []
+    factors, annuities = _recursion(rates, strict)
+    return DiscountCurve._computed(tuple(factors), tuple(annuities))
+
+
+def _recursion(rates, strict: bool) -> tuple[list[float], list[float]]:
+    """The factors and their running sums from 0.0; strict raises BootstrapError."""
+    factors, annuities = [], []
     annuity = 0.0
     prev = 1.0
     for n, x in enumerate(rates, start=1):
@@ -146,7 +151,7 @@ def _bootstrap_rates(rates: tuple[float, ...], strict: bool) -> DiscountCurve:
         annuity += p
         annuities.append(annuity)
         prev = p
-    return DiscountCurve._computed(tuple(factors), tuple(annuities))
+    return factors, annuities
 
 
 def swap_rates_from_discounts(curve: DiscountCurve) -> SwapCurve:

@@ -19,9 +19,11 @@ in the README formula map.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
-from .bootstrap import ShiftScenario, bootstrap, shifted_bootstrap
-from .curves import RATE_HI, RATE_LO, SwapCurve, ZeroCurve, _Record, _require_tol, _require_valid
+from .bootstrap import _recursion, bootstrap
+from .curves import RATE_HI, RATE_LO, SwapCurve, ZeroCurve, _check_rate_range, _Record
+from .curves import _require_tol, _require_valid
 from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins
 
 ZERO_BOND = "zero_bond"
@@ -270,9 +272,15 @@ def swap_butterfly_pnl(
     # zero on a flat curve and bit-identical to the classification margin
     # of the (annuity, rate) triple.
     carry = horizon * (w1 * (x[n - 1] - x[m - 1]) + w3 * (x[k - 1] - x[m - 1]))
-    shifted = shifted_bootstrap(swaps, ShiftScenario.parallel(shift), strict=True)
-    elapsed = horizon * shifted.factors[0]
-    remaining = tuple(shifted.annuities[i - 1] - elapsed for i in (n, m, k))
+    # A strict parallel shifted_bootstrap's checks and annuities, building no curve.
+    amount = float(shift)
+    if not math.isfinite(amount):
+        raise ValueError("shift amount must be finite")
+    rates = [r + amount for r in x]
+    _check_rate_range(rates, "rates")
+    _, annuities = _recursion(rates, True)
+    elapsed = horizon * annuities[0]  # the first factor: the sums start from 0.0
+    remaining = tuple(annuities[i - 1] - elapsed for i in (n, m, k))
     mark = (
         -shift * w1 * remaining[0]
         - shift * w3 * remaining[2]
@@ -312,8 +320,9 @@ def _scan_hits(curve: ZeroCurve | SwapCurve, kind: str, mode: str, tol: float):
         xs, values, legs = disc.annuities, curve.rates, range(1, len(curve) + 1)
     else:
         raise ValueError(f"unknown butterfly kind {kind!r}")
-    # Convex as classify_triple decides; ties rank by position.
-    hits = sorted((-m, i, j, k) for i, j, k, m in _margins(zip(xs, values), mode) if m > tol)
+    # Convex as classify_triple decides; a stable sort keeps ties in (i, j, k) order.
+    hits = [(-m, i, j, k) for i, j, k, m in _margins(zip(xs, values), mode) if m > tol]
+    hits.sort(key=itemgetter(0))
     return xs, legs, hits
 
 
@@ -335,11 +344,20 @@ def scan_arbitrage(
     descending, ties by indices, so results are deterministic.
     """
     xs, legs, hits = _scan_hits(curve, kind, mode, tol)
+    new, put = object.__new__, object.__setattr__  # trusted: __init__ only assigns
     candidates = []
     for neg_margin, i, j, k in hits:
         w1, w3 = xs[k] - xs[j], xs[j] - xs[i]
         fly_legs = (legs[i], legs[j], legs[k])
-        annuities = (xs[i], xs[j], xs[k]) if kind == SWAP else None
-        fly = Butterfly(kind, fly_legs, (w1, w1 + w3, w3), annuities)
-        candidates.append(ArbitrageCandidate((i + 1, j + 1, k + 1), fly_legs, -neg_margin, fly))
+        fly = new(Butterfly)
+        put(fly, "kind", kind)
+        put(fly, "legs", fly_legs)
+        put(fly, "weights", (w1, w1 + w3, w3))
+        put(fly, "base_annuities", (xs[i], xs[j], xs[k]) if kind == SWAP else None)
+        hit = new(ArbitrageCandidate)
+        put(hit, "indices", (i + 1, j + 1, k + 1))
+        put(hit, "legs", fly_legs)
+        put(hit, "margin", -neg_margin)
+        put(hit, "butterfly", fly)
+        candidates.append(hit)
     return tuple(candidates)

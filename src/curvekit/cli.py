@@ -54,6 +54,8 @@ BP = 1e-4
 # before any row is allocated.
 MAX_SHIFT_ROWS = 100_001
 
+MAX_TRIALS = 100_000  # most verify trials one run takes: about 15 s at 0.15 ms each
+
 
 def _fmt(x: float) -> str:
     if x == 0.0:
@@ -358,6 +360,8 @@ def cmd_verify(path: str, shift_bp: str, trials: int, seed: int, out: str | None
     scenario = _parse_verify_shift(shift_bp)
     if trials < 0:
         raise ValueError("--trials must be >= 0")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"--trials exceeds the cap of {MAX_TRIALS}")
     swaps = curve_file.to_swap_curve()
     base = _require_valid(bootstrap(swaps), "input curve")
     # The checks presuppose a functioning shifted market, so a scenario

@@ -18,7 +18,9 @@ structural only (lengths, finiteness, rate ranges); economic validity of a
 discount curve (positive, strictly decreasing factors) is deliberately not
 enforced at construction -- shifted or stressed curves may violate it
 transiently and callers need to observe that, not crash.  Use
-:func:`validate` to obtain the violation report.
+:func:`validate` to obtain the violation report.  Public constructors keep
+every check; results the library computes itself skip only the checks that
+cannot fail on them, so every refusal stays.
 """
 
 from __future__ import annotations
@@ -266,17 +268,22 @@ def zero_yield_from_price(p: float, t: int) -> float:
 def discounts_from_zeros(curve: ZeroCurve) -> DiscountCurve:
     """Discount curve of a zero curve on the consecutive grid 1..N."""
     _require_integer_grid(curve.tenors)
-    return DiscountCurve(
-        tuple(zero_price(y, n) for n, y in enumerate(curve.yields, start=1))
-    )
+    # zero_price's power: a ZeroCurve's yields exceed -0.5, so it would accept them.
+    factors = tuple([(1.0 + y) ** -n for n, y in enumerate(curve.yields, start=1)])
+    return DiscountCurve._computed(factors, tuple(accumulate(factors, initial=0.0))[1:])
 
 
 def zeros_from_discounts(curve: DiscountCurve) -> ZeroCurve:
     """Zero curve implied by integer-grid discount factors."""
-    yields = tuple(
-        zero_yield_from_price(p, n) for n, p in enumerate(curve.factors, start=1)
-    )
-    return ZeroCurve(tuple(float(n) for n in range(1, len(curve) + 1)), yields)
+    if min(curve.factors) > 0.0:  # zero_yield_from_price's power, which it would accept
+        yields = tuple([p ** (-1.0 / n) - 1.0 for n, p in enumerate(curve.factors, start=1)])
+    else:  # refused at the first non-positive factor, named by zero_yield_from_price
+        yields = tuple(zero_yield_from_price(p, n) for n, p in enumerate(curve.factors, start=1))
+    _check_rate_range(yields, "yields")
+    zeros = object.__new__(ZeroCurve)  # on the integer grid, so the tenors need no checks
+    object.__setattr__(zeros, "tenors", tuple(map(float, range(1, len(curve) + 1))))
+    object.__setattr__(zeros, "yields", yields)
+    return zeros
 
 
 def forward_rates(curve: DiscountCurve) -> ForwardCurve:
@@ -357,6 +364,8 @@ def _require_valid(curve: DiscountCurve, what: str) -> DiscountCurve:
 
 
 def _require_integer_grid(tenors: tuple[float, ...], tol: float = 1e-9) -> None:
+    if tenors == tuple(map(float, range(1, len(tenors) + 1))):
+        return  # exactly the grid: the tolerant loop below would pass it
     for n, t in enumerate(tenors, start=1):
         if abs(t - n) > tol:
             raise ValueError(

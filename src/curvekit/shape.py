@@ -126,10 +126,14 @@ def scan_curve_shape(
     scans every i < j < k and refuses more than ``ALL_TRIPLES_CAP`` points.
     """
     _require_tol(tol, "classification")
-    triples = tuple(
-        (i, j, k, TripleClassification(_verdict(margin, tol), margin))
-        for i, j, k, margin in _margins(points, mode)
-    )
+    new, put = object.__new__, object.__setattr__  # trusted: __init__ only assigns
+    triples = []
+    for i, j, k, margin in _margins(points, mode):
+        c = new(TripleClassification)
+        put(c, "verdict", _verdict(margin, tol))
+        put(c, "margin", margin)
+        triples.append((i, j, k, c))
+    triples = tuple(triples)
     any_convex = any(c.verdict == CONVEX for _, _, _, c in triples)
     overall = CONVEX_SOMEWHERE if any_convex else CONCAVE_EVERYWHERE
     return ShapeReport(triples, overall)

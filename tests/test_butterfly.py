@@ -1,6 +1,7 @@
 """Butterfly construction, shift P&L and arbitrage scans."""
 
 import math
+import tracemalloc
 from itertools import combinations
 from random import Random
 
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 from curvekit.bootstrap import BootstrapError, bootstrap, shifted_bootstrap, ShiftScenario
 from curvekit.butterfly import (
+    ArbitrageCandidate,
+    Butterfly,
     NonParallelMove,
+    PnlBreakdown,
     nonparallel_safe,
     nonparallel_weights,
     scan_arbitrage,
@@ -20,8 +24,12 @@ from curvekit.butterfly import (
     zero_butterfly_pnl,
 )
 from curvekit.curves import SwapCurve, ZeroCurve, validate, zeros_from_discounts
-from curvekit.sampling import random_discount_curve, random_swap_curve
-from curvekit.shape import classify_triple
+from curvekit.sampling import (
+    random_discount_curve,
+    random_nondecreasing_swap_curve,
+    random_swap_curve,
+)
+from curvekit.shape import CLASSIFY_TOL, _margins, classify_triple
 
 
 class TestZeroButterfly:
@@ -331,6 +339,81 @@ class TestSwapButterflyPnl:
         assert tested >= 30
 
 
+def reference_swap_pnl(fly, swaps, shift, horizon):
+    """The P&L through the public scenario, shifted bootstrap and curve."""
+    n, m, k = fly.legs
+    w1, w2, w3 = fly.weights
+    x = swaps.rates
+    carry = horizon * (w1 * (x[n - 1] - x[m - 1]) + w3 * (x[k - 1] - x[m - 1]))
+    shifted = shifted_bootstrap(swaps, ShiftScenario.parallel(shift), strict=True)
+    elapsed = horizon * shifted.factors[0]
+    remaining = tuple(shifted.annuities[i - 1] - elapsed for i in (n, m, k))
+    mark = -shift * w1 * remaining[0] - shift * w3 * remaining[2] + shift * w2 * remaining[1]
+    return PnlBreakdown(carry, mark, carry + mark, remaining)
+
+
+def pnl_outcome(fly, swaps, shift, horizon, pnl=swap_butterfly_pnl):
+    """A P&L by type, repr and float.hex of every number, or the refusal it raised."""
+    try:
+        p = pnl(fly, swaps, shift, horizon)
+    except ValueError as exc:
+        fields = [getattr(exc, a, None) for a in ("index", "kind", "value")]
+        return type(exc), str(exc), repr(fields)
+    numbers = (p.carry, p.mark_to_market, p.total, *p.remaining_annuities)
+    return type(p), repr(p), [v.hex() for v in numbers]
+
+
+# The library-scale P&L shift grid, in decimals.
+PNL_SHIFTS = tuple(bp * 1e-4 for bp in range(-50, 51, 10))
+
+
+class TestSwapButterflyPnlPinning:
+    # The P&L reads the strict recursion's annuities directly; the reference
+    # goes through the public scenario, shifted bootstrap and curve.
+    @pytest.mark.parametrize("n", [3, 20, 100, 1000])
+    def test_matches_the_shifted_bootstrap_formula(self, n):
+        # At n=1000 only low forwards keep the base curve valid, and every
+        # rise of the grid drives a long factor negative: both outcomes occur.
+        f_lo, f_hi = (0.01, 0.02) if n == 1000 else (0.03, 0.06)
+        outcomes = set()
+        for seed in (1, 2):
+            swaps = random_nondecreasing_swap_curve(Random(seed), n, f_lo, f_hi)
+            fly = swap_butterfly(swaps, (n // 4, n // 2, 3 * n // 4) if n > 3 else (1, 2, 3))
+            for shift in (*PNL_SHIFTS, 3e-4):
+                for horizon in (0.0, 0.5, 1.0):
+                    got = pnl_outcome(fly, swaps, shift, horizon)
+                    assert got == pnl_outcome(fly, swaps, shift, horizon, reference_swap_pnl)
+                    outcomes.add(got[0])
+        assert outcomes == ({PnlBreakdown, BootstrapError} if n == 1000 else {PnlBreakdown})
+
+    @pytest.mark.parametrize(
+        "shift, message",
+        [
+            (math.nan, "shift amount must be finite"),
+            (math.inf, "shift amount must be finite"),
+            (-math.inf, "shift amount must be finite"),
+            (0.97, "rates[2] = 1.005 outside the supported range (-0.5, 1.0)"),
+            (-0.53, "rates[0] = -0.51 outside the supported range (-0.5, 1.0)"),
+        ],
+    )
+    def test_refusals_match_the_shifted_bootstrap(self, shift, message):
+        swaps = SwapCurve((0.02, 0.025, 0.035))
+        fly = swap_butterfly(swaps, (1, 2, 3))
+        got = pnl_outcome(fly, swaps, shift, 0.5)
+        assert got == pnl_outcome(fly, swaps, shift, 0.5, reference_swap_pnl)
+        assert got[:2] == (ValueError, message)
+
+    def test_invalid_factor_refusal_matches_the_shifted_bootstrap(self):
+        # Float par rates of this n=1000 curve bootstrap to a factor that
+        # stops decreasing in the long end.
+        swaps = random_nondecreasing_swap_curve(Random(1), 1000, 0.03, 0.06)
+        fly = swap_butterfly(SwapCurve(swaps.rates[:100]), (25, 50, 75))
+        for shift in PNL_SHIFTS:
+            got = pnl_outcome(fly, swaps, shift, 0.5)
+            assert got == pnl_outcome(fly, swaps, shift, 0.5, reference_swap_pnl)
+            assert got[0] is BootstrapError
+
+
 def antisymmetric_zero_curve(n=15, seed=6):
     """Linear yields plus jitter antisymmetric about the middle tenor.
 
@@ -381,7 +464,65 @@ def reference_scan(curve, kind, mode):
     return rows
 
 
+def reference_candidates(curve, kind, mode):
+    """The candidates by a tuple sort of the hits and the public constructors."""
+    if kind == "zero_bond":
+        xs, values, legs = curve.tenors, curve.yields, curve.tenors
+    else:
+        xs, values, legs = bootstrap(curve).annuities, curve.rates, range(1, len(curve) + 1)
+    margins = _margins(zip(xs, values), mode)
+    candidates = []
+    for neg_margin, i, j, k in sorted((-m, i, j, k) for i, j, k, m in margins if m > CLASSIFY_TOL):
+        w1, w3 = xs[k] - xs[j], xs[j] - xs[i]
+        fly_legs = (legs[i], legs[j], legs[k])
+        annuities = (xs[i], xs[j], xs[k]) if kind == "swap" else None
+        fly = Butterfly(kind, fly_legs, (w1, w1 + w3, w3), annuities)
+        candidates.append(ArbitrageCandidate((i + 1, j + 1, k + 1), fly_legs, -neg_margin, fly))
+    return tuple(candidates)
+
+
+def retained_bytes(build):
+    """Bytes still allocated once ``build()`` has returned, its result included."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return tracemalloc.get_traced_memory()[0], result
+    finally:
+        tracemalloc.stop()
+
+
+PINNED_SCANS = {
+    **SCAN_CURVES,
+    "zero-n60": lambda: ("zero_bond", zeros_from_discounts(random_discount_curve(Random(2), 60))),
+    "swap-n60": lambda: ("swap", random_swap_curve(Random(3), 60)),
+}
+
+
 class TestScanArbitrage:
+    @pytest.mark.parametrize("mode", ["consecutive", "all_triples"])
+    @pytest.mark.parametrize("name", sorted(PINNED_SCANS))
+    def test_candidates_match_the_public_constructors(self, name, mode):
+        kind, curve = PINNED_SCANS[name]()
+        want = reference_candidates(curve, kind, mode)
+        got = scan_arbitrage(curve, kind, mode)
+        assert got == want
+        assert [repr(c) for c in got] == [repr(c) for c in want]
+        assert [c.margin.hex() for c in got] == [c.margin.hex() for c in want]
+        for g, w in zip(got, want):
+            assert list(vars(g)) == list(vars(w))
+            assert list(vars(g.butterfly).items()) == list(vars(w.butterfly).items())
+        if name == "zero-tied":
+            assert any(a.margin == b.margin for a, b in zip(want, want[1:]))
+
+    def test_candidates_take_no_more_memory_than_public_ones(self):
+        # Fields written through __dict__ would give each record a dict of its own.
+        curve = antisymmetric_zero_curve(n=30)
+        args = (curve, "zero_bond", "all_triples")
+        public, want = retained_bytes(lambda: reference_candidates(*args))
+        trusted, got = retained_bytes(lambda: scan_arbitrage(*args))
+        assert got == want and len(got) > 100
+        assert trusted <= 1.1 * public
+
     @pytest.mark.parametrize("mode", ["consecutive", "all_triples"])
     @pytest.mark.parametrize("name", sorted(SCAN_CURVES))
     def test_matches_brute_force_reference(self, name, mode):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvekit
+from curvekit import cli
 from curvekit.butterfly import SWAP, ZERO_BOND, scan_arbitrage
 from curvekit.cli import _fmt, main
 from curvekit.curves import zeros_from_discounts
@@ -511,6 +512,26 @@ class TestHostileFlags:
         result = runner.invoke(main, [a.format(**fields) for a in args])
         assert_clean_refusal(result, 1)
         assert result.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("trials", ["100001", "1000000000", str(10**30)])
+    def test_trial_count_beyond_the_cap_is_refused(self, runner, flat, trials, monkeypatch):
+        # Refused before any trial runs: the seeded perturbation is never drawn.
+        monkeypatch.setattr(cli, "perturb_swap_curve", None)
+        result = runner.invoke(main, ["verify", flat, "--trials", trials])
+        assert_clean_refusal(result, 1)
+        assert result.stderr == "error: --trials exceeds the cap of 100000\n"
+
+    def test_trial_count_at_the_cap_is_accepted(self, runner, flat, monkeypatch):
+        # Stop after the first trial: the point is only that the cap admits itself.
+        class Enough(Exception):
+            pass
+
+        def first_trial_only(rng, forwards):
+            raise Enough
+
+        monkeypatch.setattr(cli, "perturb_swap_curve", first_trial_only)
+        result = runner.invoke(main, ["verify", flat, "--trials", str(cli.MAX_TRIALS)])
+        assert isinstance(result.exception, Enough)
 
     @pytest.mark.parametrize("grid", ["0:1e300:1e290", "0:100001:1", "0:1:1e-300"])
     def test_shift_grid_beyond_the_row_cap_is_refused(self, runner, flat, grid):

@@ -17,6 +17,7 @@ from curvekit.butterfly import (
     NonParallelMove,
     PnlBreakdown,
     SafetyCheck,
+    scan_arbitrage,
 )
 from curvekit.curves import (
     MONOTONE_TOL,
@@ -46,7 +47,7 @@ from curvekit.sampling import (
     random_nondecreasing_swap_curve,
     random_swap_curve,
 )
-from curvekit.shape import ShapeReport, TripleClassification
+from curvekit.shape import ShapeReport, TripleClassification, scan_curve_shape
 
 
 def flat_discounts(rate: float, n: int) -> DiscountCurve:
@@ -359,6 +360,28 @@ class TestViolationStream:
         assert str(exc.value) == f"validation tolerance must be >= 0, got {tol!r}"
 
 
+def reference_zeros(curve: DiscountCurve) -> ZeroCurve:
+    """The zero curve by per-point conversion and the public constructor."""
+    yields = tuple(zero_yield_from_price(p, n) for n, p in enumerate(curve.factors, start=1))
+    return ZeroCurve(tuple(float(n) for n in range(1, len(curve) + 1)), yields)
+
+
+def reference_discounts(curve: ZeroCurve) -> DiscountCurve:
+    """The discount curve by the tolerant grid loop, per-point prices and the public constructor."""
+    curves._require_integer_grid(curve.tenors)
+    return DiscountCurve(tuple(zero_price(y, n) for n, y in enumerate(curve.yields, start=1)))
+
+
+def conversion_outcome(convert, curve):
+    """A converted curve by type, repr and float.hex of every field, or its refusal."""
+    try:
+        out = convert(curve)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    fields = {name: [v.hex() for v in values] for name, values in vars(out).items()}
+    return type(out), repr(out), fields
+
+
 class TestZeroDiscountConversions:
     def test_round_trip_on_integer_grid(self):
         rng = Random(11)
@@ -371,6 +394,52 @@ class TestZeroDiscountConversions:
     def test_requires_integer_grid(self):
         with pytest.raises(ValueError):
             discounts_from_zeros(ZeroCurve((0.5, 1.5), (0.02, 0.03)))
+
+    @pytest.mark.parametrize("n", [1, 3, 20, 100, 1000])
+    def test_conversions_match_the_per_point_reference(self, n):
+        for seed in (1, 2, 3):
+            disc = random_discount_curve(Random(seed), n)
+            want = conversion_outcome(reference_zeros, disc)
+            assert want[0] is ZeroCurve
+            assert conversion_outcome(zeros_from_discounts, disc) == want
+            zeros = zeros_from_discounts(disc)
+            assert conversion_outcome(discounts_from_zeros, zeros) == conversion_outcome(
+                reference_discounts, zeros
+            )
+
+    @pytest.mark.parametrize(
+        "factors, error, message",
+        [
+            ((0.9, -0.1, 0.0), ValueError, "discount factor must be positive, got -0.1"),
+            ((0.0, 5e-324), ValueError, "discount factor must be positive, got 0.0"),
+            ((5e-324,), OverflowError, None),
+            ((5e-324, 0.0), OverflowError, None),  # the overflow comes first
+            ((0.5,), ValueError, "yields[0] = 1.0 outside the supported range (-0.5, 1.0)"),
+            ((0.9, 4.0), ValueError, "yields[1] = -0.5 outside the supported range (-0.5, 1.0)"),
+        ],
+    )
+    def test_zeros_refusals_match_the_reference(self, factors, error, message):
+        disc = DiscountCurve(factors)
+        got = conversion_outcome(zeros_from_discounts, disc)
+        assert got == conversion_outcome(reference_zeros, disc)
+        assert got[0] is error
+        assert message is None or got[1].startswith(message)
+
+    @pytest.mark.parametrize(
+        "tenors, yields, error",
+        [
+            ((1.0, 2.0 + 5e-10, 3.0), (0.02, 0.03, 0.035), None),
+            ((1.0 - 5e-10, 2.0, 3.0), (0.02, 0.03, 0.035), None),
+            ((1.0, 2.0 + 1e-6, 3.0), (0.02, 0.03, 0.035), ValueError),
+            ((0.5, 1.5), (0.02, 0.03), ValueError),
+            (range(1, 1101), (-0.49,) * 1100, OverflowError),
+        ],
+    )
+    def test_discounts_grid_and_refusals_match_the_reference(self, tenors, yields, error):
+        zeros = ZeroCurve(tenors, yields)
+        got = conversion_outcome(discounts_from_zeros, zeros)
+        assert got == conversion_outcome(reference_discounts, zeros)
+        assert got[0] is (error or DiscountCurve)
 
 
 FLY = Butterfly("zero_bond", (1.0, 2.0, 3.0), (1.0, 2.0, 1.0))
@@ -467,6 +536,28 @@ RECORDS = {
         lambda: ArbitrageCandidate((1, 2, 3), (1.0, 2.0, 3.0), 0.25, FLY),
         "ArbitrageCandidate(indices=(1, 2, 3), legs=(1.0, 2.0, 3.0), margin=0.5,"
         f" butterfly={FLY_REPR})",
+    ),
+    # Built by the library without their public constructors.
+    "ZeroCurve-converted": (
+        lambda: zeros_from_discounts(DiscountCurve((0.8, 0.64))),
+        lambda: zeros_from_discounts(DiscountCurve((0.8, 0.5))),
+        "ZeroCurve(tenors=(1.0, 2.0), yields=(0.25, 0.25))",
+    ),
+    "DiscountCurve-converted": (
+        lambda: discounts_from_zeros(ZeroCurve((1.0, 2.0), (0.25, 0.25))),
+        lambda: discounts_from_zeros(ZeroCurve((1.0, 2.0), (0.25, 0.5))),
+        "DiscountCurve(factors=(0.8, 0.64))",
+    ),
+    "ArbitrageCandidate-scanned": (
+        lambda: scan_arbitrage(ZeroCurve((1.0, 2.0, 3.0), (0.0625, 0.03125, 0.046875)))[0],
+        lambda: scan_arbitrage(ZeroCurve((1.0, 2.0, 3.0), (0.0625, 0.03125, 0.0625)))[0],
+        "ArbitrageCandidate(indices=(1, 2, 3), legs=(1.0, 2.0, 3.0), margin=0.046875,"
+        f" butterfly={FLY_REPR})",
+    ),
+    "TripleClassification-scanned": (
+        lambda: scan_curve_shape([(1.0, 0.5), (2.0, 0.25), (3.0, 0.5)]).triples[0][3],
+        lambda: scan_curve_shape([(1.0, 0.5), (2.0, 0.25), (3.0, 0.25)]).triples[0][3],
+        "TripleClassification(verdict='convex', margin=0.5)",
     ),
     "CurveFile": (
         lambda: CurveFile("swap", ((1.0, 0.01),), "label"),

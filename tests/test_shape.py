@@ -16,12 +16,16 @@ from curvekit.sampling import random_nondecreasing_swap_curve, random_swap_curve
 from curvekit.shape import (
     ALL_TRIPLES,
     ALL_TRIPLES_CAP,
+    CLASSIFY_TOL,
     CONCAVE,
     CONCAVE_EVERYWHERE,
     CONSECUTIVE,
     CONVEX,
     CONVEX_SOMEWHERE,
+    ShapeReport,
+    TripleClassification,
     _margins,
+    _verdict,
     annuity_point_classification,
     classify_triple,
     ratio_monotonicity,
@@ -192,6 +196,26 @@ class TestMarginGenerator:
             for i in range(len(points) - 2)
         ]
         assert got == want
+
+
+class TestScanCurveShapePinning:
+    @pytest.mark.parametrize("tol", [CLASSIFY_TOL, 0.0, 1e-5])
+    @pytest.mark.parametrize("mode", [CONSECUTIVE, ALL_TRIPLES])
+    def test_classifications_match_the_public_constructor(self, mode, tol):
+        # The reference: one public TripleClassification(...) per triple.
+        flat = [(1.0, 0.5), (2.0, 0.5), (3.0, 0.5)]
+        for points in (zero_points(45, 5), annuity_points(40, 6), flat):
+            want = tuple(
+                (i, j, k, TripleClassification(_verdict(m, tol), m))
+                for i, j, k, m in _margins(points, mode)
+            )
+            convex = any(c.verdict == CONVEX for *_, c in want)
+            got = scan_curve_shape(points, mode, tol)
+            assert got == ShapeReport(want, CONVEX_SOMEWHERE if convex else CONCAVE_EVERYWHERE)
+            assert repr(got) == repr(ShapeReport(want, got.overall))
+            assert [list(vars(c).items()) for *_, c in got.triples] == [
+                list(vars(c).items()) for *_, c in want
+            ]
 
 
 class TestAnnuityPoints:
