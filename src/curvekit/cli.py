@@ -8,7 +8,8 @@ formatted to 12 significant digits so values round-trip at 1e-12.
 
 Exit codes: 0 success, 1 domain or validation failure or unwritable
 output, 2 unreadable or malformed input.  :class:`_ExitCodes` maps
-refusals to them once, for every command.  Every command is
+refusals to them once, for every command.  :func:`run` is the process
+entry point; :func:`main`, the click group, is the in-process one.  Every command is
 deterministic given its inputs and flags; randomized verification trials
 derive their generators from the --seed value plus the trial index,
 never from ambient randomness.
@@ -16,8 +17,10 @@ never from ambient randomness.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import math
+import os
 import sys
 from random import Random
 
@@ -106,7 +109,7 @@ def _parse_triple(text: str, what: str, as_int: bool = False) -> tuple:
 
 
 def _parse_shift_range(text: str) -> list[float]:
-    """Parse 'lo:hi:step' in basis points into an inclusive list."""
+    """Parse 'lo:hi:step' in basis points into lo, lo + step, ... up to hi."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--shift-bp must look like lo:hi:step, got {text!r}")
@@ -117,10 +120,12 @@ def _parse_shift_range(text: str) -> list[float]:
     _require_finite("--shift-bp", lo, hi, step)
     if step <= 0 or hi < lo:
         raise ValueError("--shift-bp needs step > 0 and hi >= lo")
-    if not (hi - lo) / step + 1 <= MAX_SHIFT_ROWS:
+    # The grid stops at hi; a quotient within 1e-9 below a whole number
+    # counts as whole, so 0:0.7:0.1 keeps its end point.
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_SHIFT_ROWS:
         raise ValueError(f"--shift-bp grid exceeds {MAX_SHIFT_ROWS} rows")
-    count = int(round((hi - lo) / step)) + 1
-    return [lo + i * step for i in range(count)]
+    return [lo + i * step for i in range(math.floor(span) + 1)]
 
 
 class _ExitCodes(click.Group):
@@ -401,5 +406,34 @@ def cmd_verify(path: str, shift_bp: str, trials: int, seed: int, out: str | None
         sys.exit(1)
 
 
+def run() -> None:
+    """Process entry point: run ``main`` and end the process without teardown.
+
+    Once the command has exited, the process runs the atexit handlers,
+    flushes stdout and stderr and ends with ``os._exit``, skipping the
+    interpreter's teardown, which would only free memory the process is
+    about to give back.  ``os._exit`` does not wait for threads; the CLI
+    starts none.  Under ``-X dev``, on a flush error or on a
+    non-integer exit payload it takes the normal shutdown instead, so
+    dev-mode warnings and the broken-pipe report are kept.  In-process
+    callers (tests, ``CliRunner``) use ``main``, which raises
+    ``SystemExit`` and never calls ``os._exit``.
+    """
+    try:
+        main()  # in standalone mode click ends every invocation with SystemExit
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code
+        if sys.flags.dev_mode or not isinstance(code, int):
+            raise
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the fd was closed at start
+                stream.flush()
+    except OSError:
+        raise SystemExit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -162,13 +162,16 @@ def read_curve_file(path: str, default_type: str | None = None) -> CurveFile:
     """Read a curve file, sniffing JSON objects by their leading brace.
 
     ``default_type`` supplies the curve type for delimited files; a JSON
-    file carries its own and ignores the default.
+    file carries its own and ignores the default.  A path that cannot be
+    opened or read raises :class:`CurveFileError`, as malformed text does.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise CurveFileError(f"not UTF-8 text at byte {exc.start}") from None
+    except UnicodeDecodeError as exc:
+        raise CurveFileError(f"not UTF-8 text at byte {exc.start}") from None
+    except OSError as exc:
+        raise CurveFileError(f"cannot read {path}: {exc.strerror}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return parse_structured(text)

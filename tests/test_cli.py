@@ -28,6 +28,7 @@ from curvekit.shape import ALL_TRIPLES, CONSECUTIVE
 
 FLAT_CSV = "tenor_years,rate\n1,0.05\n2,0.05\n3,0.05\n"
 BUMP_CSV = "tenor_years,rate\n1,0.051\n2,0.05\n3,0.05\n"
+INVALID_CSV = "tenor_years,rate\n1,0.05\n2,0.9\n3,0.05\n"  # p3 > p2
 ZERO_KINK_JSON = (
     '{"curve_type": "zero", "points": [{"t": 1, "r": 0.02},'
     ' {"t": 2, "r": 0.025}, {"t": 3, "r": 0.04}], "label": "kinked"}'
@@ -360,6 +361,30 @@ class TestPnlCommand:
         for row in rows[1:]:
             assert row.split(",")[1] == "0"
 
+    @pytest.mark.parametrize(
+        "grid, shifts",
+        [
+            # hi on the grid: the last row is hi, also when step * count rounds.
+            ("-100:100:10", [str(bp) for bp in range(-100, 101, 10)]),
+            ("0:200:25", [str(bp) for bp in range(0, 201, 25)]),
+            ("0:0.7:0.1", ["0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7"]),
+            # hi off the grid: the rows stop at the last step below hi.
+            ("0:100:60", ["0", "60"]),
+            ("0:2:3", ["0"]),
+            ("-10:25:10", ["-10", "0", "10", "20"]),
+        ],
+    )
+    def test_shift_grid_never_passes_hi(self, runner, flat, grid, shifts):
+        args = ["pnl", flat, "--kind", "swap", "--legs", "1,2,3", "--shift-bp", grid]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert [row.split(",")[0] for row in result.output.splitlines()[1:]] == shifts
+
+    def test_shift_grid_of_exactly_the_row_cap_is_accepted(self):
+        # 100000.5 steps fit 100001 rows, the cap, once the grid stops below hi.
+        shifts = cli._parse_shift_range("0:100000.5:1")
+        assert len(shifts) == cli.MAX_SHIFT_ROWS and shifts[-1] == 100000.0
+
     def test_bad_legs_exit_1(self, runner, flat):
         result = runner.invoke(
             main,
@@ -532,6 +557,13 @@ class TestHostileFlags:
         monkeypatch.setattr(cli, "perturb_swap_curve", first_trial_only)
         result = runner.invoke(main, ["verify", flat, "--trials", str(cli.MAX_TRIALS)])
         assert isinstance(result.exception, Enough)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc/self/mem")
+    def test_unreadable_curve_file_exits_2(self, runner):
+        # The file exists and opens, but reading it fails with EIO.
+        result = runner.invoke(main, ["bootstrap", "/proc/self/mem"])
+        assert_clean_refusal(result, 2)
+        assert result.stderr == "error: cannot read /proc/self/mem: Input/output error\n"
 
     @pytest.mark.parametrize("grid", ["0:1e300:1e290", "0:100001:1", "0:1:1e-300"])
     def test_shift_grid_beyond_the_row_cap_is_refused(self, runner, flat, grid):
@@ -754,6 +786,13 @@ class TestDeterminismAcrossCommands:
             assert first.exit_code == second.exit_code, args
 
 
+def _child_env() -> dict:
+    """Environment of a child interpreter that imports this curvekit."""
+    src = os.path.dirname(os.path.dirname(curvekit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_cli_import_adds_no_dataclasses_or_json():
     # Start-up is most of a short command, so importing the CLI must not load
     # these two modules, which click itself does not load.
@@ -761,11 +800,9 @@ def test_cli_import_adds_no_dataclasses_or_json():
         "import sys, click; before = set(sys.modules); import curvekit.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
-    src = os.path.dirname(os.path.dirname(curvekit.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -773,3 +810,99 @@ def test_cli_import_adds_no_dataclasses_or_json():
     added = set(result.stdout.split())
     assert "curvekit.cli" in added
     assert not added & {"dataclasses", "json"}
+
+
+class TestProcessEntry:
+    """``python -m curvekit.cli`` ends through ``cli.run`` without teardown.
+
+    Children run with buffered stdout (no PYTHONUNBUFFERED), so output
+    that ``run`` failed to flush before ``os._exit`` would be lost.
+    """
+
+    @staticmethod
+    def spawn(*argv, flags=(), stdout=subprocess.PIPE, **kwargs):
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        return subprocess.run(
+            [sys.executable, *flags, *argv],
+            env=env,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize(
+        "command, text, code",
+        [
+            ("bootstrap", FLAT_CSV, 0),
+            ("validate", INVALID_CSV, 1),
+            ("bootstrap", "tenor_years,rate\n1,x\n", 2),
+        ],
+        ids=["exit-0", "exit-1", "exit-2"],
+    )
+    def test_process_matches_in_process_run(self, tmp_path, command, text, code):
+        path = tmp_path / "curve.csv"
+        path.write_text(text)
+        child = self.spawn("-m", "curvekit.cli", command, str(path))
+        in_process = CliRunner().invoke(main, [command, str(path)])
+        assert child.returncode == in_process.exit_code == code
+        assert child.stdout == in_process.stdout
+        assert child.stderr == in_process.stderr
+
+    @pytest.mark.parametrize("args, code", [(["--help"], 0), (["--no-such-option"], 2)])
+    def test_help_and_usage_errors(self, args, code):
+        child = self.spawn("-m", "curvekit.cli", *args)
+        assert child.returncode == code
+        assert "Usage: " in (child.stdout if code == 0 else child.stderr)
+
+    def test_out_file_is_written_whole(self, tmp_path, zero_kink):
+        # Far more than one write buffer, so an unflushed file would be cut short.
+        args = ["pnl", zero_kink, "--legs", "1,2,3", "--shift-bp", "-5000:5000:1"]
+        out = tmp_path / "pnl.csv"
+        child = self.spawn("-m", "curvekit.cli", *args, "--out", str(out))
+        assert child.returncode == 0 and child.stdout == ""
+        assert out.read_text() == CliRunner().invoke(main, args).stdout
+
+    def test_atexit_handlers_run_once(self, flat):
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'atexit handler ran')\n"
+            f"sys.argv = ['curvekit', 'bootstrap', {flat!r}]\n"
+            "runpy.run_module('curvekit.cli', run_name='__main__')\n"
+        )
+        child = self.spawn("-c", code)
+        assert child.returncode == 0
+        assert child.stdout.startswith("n,swap_rate,discount_factor,annuity\n")
+        assert child.stdout.count("atexit handler ran") == 1
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
+    def test_closed_stdout_exits_0(self, flat):
+        # With fd 1 closed at start, sys.stdout is None and there is nothing to flush.
+        child = self.spawn("-m", "curvekit.cli", "bootstrap", flat, preexec_fn=lambda: os.close(1))
+        assert child.returncode == 0 and child.stderr == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_flush_error_takes_the_normal_shutdown(self, flat, tmp_path):
+        # A handler leaves bytes in the stdout buffer that /dev/full refuses;
+        # the interpreter then reports the failed flush and exits 120.
+        out = str(tmp_path / "table.csv")
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(sys.stdout.buffer.write, b'pending')\n"
+            f"sys.argv = ['curvekit', 'bootstrap', {flat!r}, '--out', {out!r}]\n"
+            "runpy.run_module('curvekit.cli', run_name='__main__')\n"
+        )
+        with open("/dev/full", "w") as full:
+            child = self.spawn("-c", code, stdout=full)
+        assert child.returncode == 120
+        assert "No space left on device" in child.stderr and "Traceback" not in child.stderr
+
+    def test_dev_mode_exits_with_the_same_code(self, tmp_path):
+        path = tmp_path / "invalid.csv"
+        path.write_text(INVALID_CSV)
+        plain = self.spawn("-m", "curvekit.cli", "validate", str(path))
+        dev = self.spawn("-m", "curvekit.cli", "validate", str(path), flags=("-X", "dev"))
+        assert plain.returncode == dev.returncode == 1
+        assert plain.stdout == dev.stdout

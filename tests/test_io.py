@@ -1,5 +1,7 @@
 """Curve file parsing: delimited and structured formats."""
 
+import re
+
 import pytest
 
 from curvekit.io import (
@@ -123,3 +125,9 @@ class TestReadCurveFile:
         with pytest.raises(CurveFileError):
             read_curve_file(str(path))
         assert read_curve_file(str(path), "swap").curve_type == "swap"
+
+    def test_unreadable_path_is_a_curve_file_error(self, tmp_path):
+        # Opening a directory raises IsADirectoryError (PermissionError on
+        # Windows); either way the reader names the path and the OS reason.
+        with pytest.raises(CurveFileError, match=f"^cannot read {re.escape(str(tmp_path))}: \\w"):
+            read_curve_file(str(tmp_path), "swap")
