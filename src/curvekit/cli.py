@@ -413,18 +413,15 @@ def run() -> None:
     flushes stdout and stderr and ends with ``os._exit``, skipping the
     interpreter's teardown, which would only free memory the process is
     about to give back.  ``os._exit`` does not wait for threads; the CLI
-    starts none.  Under ``-X dev``, on a flush error or on a
-    non-integer exit payload it takes the normal shutdown instead, so
-    dev-mode warnings and the broken-pipe report are kept.  In-process
+    starts none.  When a flush fails it takes the normal shutdown
+    instead, so the interpreter's broken-pipe report is kept.  In-process
     callers (tests, ``CliRunner``) use ``main``, which raises
     ``SystemExit`` and never calls ``os._exit``.
     """
     try:
-        main()  # in standalone mode click ends every invocation with SystemExit
+        main()  # in standalone mode click ends every invocation with sys.exit(int)
     except SystemExit as exc:
         code = 0 if exc.code is None else exc.code
-        if sys.flags.dev_mode or not isinstance(code, int):
-            raise
     atexit._run_exitfuncs()
     try:
         for stream in (sys.stdout, sys.stderr):

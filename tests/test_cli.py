@@ -905,4 +905,4 @@ class TestProcessEntry:
         plain = self.spawn("-m", "curvekit.cli", "validate", str(path))
         dev = self.spawn("-m", "curvekit.cli", "validate", str(path), flags=("-X", "dev"))
         assert plain.returncode == dev.returncode == 1
-        assert plain.stdout == dev.stdout
+        assert plain.stdout == dev.stdout and plain.stderr == dev.stderr
