@@ -68,14 +68,19 @@ def _fmt(x: float) -> str:
 
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-        return
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if out is None:
+            click.echo(text, nl=False)
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write {out}: {exc.strerror}") from None
+        if out is not None:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
+        if isinstance(exc, BrokenPipeError):
+            raise  # click ends a closed pipe with a silent exit 1
+        sys.stdout = None  # its buffer holds the refused bytes: no flush at exit retries them
+        raise ValueError(f"cannot write to stdout: {exc.strerror}") from None
 
 
 def _require_finite(flag: str, *values: float) -> None:
@@ -92,32 +97,38 @@ def _as_discounts(curve_file: curve_io.CurveFile) -> DiscountCurve:
     return discounts_from_zeros(curve_file.to_zero_curve())
 
 
-def _parse_triple(text: str, what: str, as_int: bool = False) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"{what} needs exactly three comma-separated values, got {text!r}")
+def _numbers(flag: str, text: str, sep: str = ",", shape: str | None = None) -> list[float]:
+    """The numbers in a flag value, split at ``sep``.
+
+    ``shape`` words the refusal of a value that is not three parts; given
+    it, the parts are counted before they are parsed, and must be finite.
+    """
+    parts = text.split(sep)
+    if shape is not None and len(parts) != 3:
+        raise ValueError(f"{flag} {shape}, got {text!r}")
     try:
-        values = tuple(float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError:
-        raise ValueError(f"could not parse {what} from {text!r}") from None
-    _require_finite(what, *values)
-    if as_int:
-        if any(v != int(v) for v in values):
-            raise ValueError(f"{what} must be whole grid years, got {text!r}")
-        return tuple(int(v) for v in values)
+        raise ValueError(f"could not parse {flag} from {text!r}") from None
+    if shape is not None:
+        _require_finite(flag, *values)
     return values
+
+
+def _triple(flag: str, text: str) -> tuple[float, ...]:
+    return tuple(_numbers(flag, text, shape="needs exactly three comma-separated values"))
+
+
+def _grid_legs(text: str) -> tuple[int, ...]:
+    legs = _triple("--legs", text)
+    if any(v != int(v) for v in legs):
+        raise ValueError(f"--legs must be whole grid years, got {text!r}")
+    return tuple(map(int, legs))
 
 
 def _parse_shift_range(text: str) -> list[float]:
     """Parse 'lo:hi:step' in basis points into lo, lo + step, ... up to hi."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--shift-bp must look like lo:hi:step, got {text!r}")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"could not parse --shift-bp from {text!r}") from None
-    _require_finite("--shift-bp", lo, hi, step)
+    lo, hi, step = _numbers("--shift-bp", text, ":", "must look like lo:hi:step")
     if step <= 0 or hi < lo:
         raise ValueError("--shift-bp needs step > 0 and hi >= lo")
     # The grid stops at hi; a quotient within 1e-9 below a whole number
@@ -149,10 +160,26 @@ def main() -> None:
     """Yield-curve analytics: bootstrap, conversions, shape and butterflies."""
 
 
+# Parameters several commands share.  read_curve_file (exit 2) and _emit
+# (exit 1) own the file checks, so click only parses.
+_path = click.argument("path")
+_out = click.option("--out", metavar="FILE", default=None)
+_curve_type = click.option(
+    "--curve-type",
+    type=click.Choice(curve_io.CURVE_TYPES),
+    default=curve_io.SWAP,
+    show_default=True,
+    help="How to interpret a delimited file.",
+)
+_kinds = click.Choice([curve_io.ZERO, curve_io.SWAP])  # a --kind is also the file's curve type
+_fly_kind = click.option("--kind", type=_kinds, default=curve_io.ZERO, show_default=True)
+_legs = click.option("--legs", required=True, help="Three maturities (zero) or grid years (swap).")
+
+
 @main.command("bootstrap")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
+@_path
 @click.option("--strict", is_flag=True, help="Exit 1 on an invalid discount factor.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_out
 def cmd_bootstrap(path: str, strict: bool, out: str | None) -> None:
     """Swap rates to discount factors and annuities."""
     swaps = curve_io.read_curve_file(path, curve_io.SWAP).to_swap_curve()
@@ -166,15 +193,9 @@ def cmd_bootstrap(path: str, strict: bool, out: str | None) -> None:
 
 
 @main.command("par")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--curve-type",
-    type=click.Choice(curve_io.CURVE_TYPES),
-    default=curve_io.SWAP,
-    show_default=True,
-    help="How to interpret a delimited file.",
-)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_path
+@_curve_type
+@_out
 def cmd_par(path: str, curve_type: str, out: str | None) -> None:
     """Par rates of a curve."""
     rates = par_rates(_as_discounts(curve_io.read_curve_file(path, curve_type)))
@@ -185,14 +206,9 @@ def cmd_par(path: str, curve_type: str, out: str | None) -> None:
 
 
 @main.command("forwards")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--curve-type",
-    type=click.Choice(curve_io.CURVE_TYPES),
-    default=curve_io.SWAP,
-    show_default=True,
-)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_path
+@_curve_type
+@_out
 def cmd_forwards(path: str, curve_type: str, out: str | None) -> None:
     """One-year forward rates; interval i covers years (i, i+1)."""
     fwd = forward_rates(_as_discounts(curve_io.read_curve_file(path, curve_type)))
@@ -203,15 +219,10 @@ def cmd_forwards(path: str, curve_type: str, out: str | None) -> None:
 
 
 @main.command("validate")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--curve-type",
-    type=click.Choice(curve_io.CURVE_TYPES),
-    default=curve_io.SWAP,
-    show_default=True,
-)
+@_path
+@_curve_type
 @click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_out
 def cmd_validate(path: str, curve_type: str, tol: float, out: str | None) -> None:
     """No-arbitrage violations of a curve's discount factors; exit 1 if any."""
     curve_file = curve_io.read_curve_file(path, curve_type)
@@ -226,11 +237,11 @@ def cmd_validate(path: str, curve_type: str, tol: float, out: str | None) -> Non
 
 
 @main.command("scan")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
+@_path
 @click.option(
     "--kind",
-    type=click.Choice(["zero", "swap"]),
-    default="zero",
+    type=_kinds,
+    default=curve_io.ZERO,
     show_default=True,
     help="Scan zero yields against tenor, or swap rates against annuity.",
 )
@@ -241,11 +252,10 @@ def cmd_validate(path: str, curve_type: str, tol: float, out: str | None) -> Non
     show_default=True,
 )
 @click.option("--tol", type=float, default=1e-9, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_out
 def cmd_scan(path: str, kind: str, mode: str, tol: float, out: str | None) -> None:
     """Convex triples of a curve, largest margin first."""
-    file_type = curve_io.ZERO if kind == "zero" else curve_io.SWAP
-    curve_file = curve_io.read_curve_file(path, file_type)
+    curve_file = curve_io.read_curve_file(path, kind)
     _require_finite("--tol", tol)
     scan_mode = CONSECUTIVE if mode == "consecutive" else ALL_TRIPLES
     curve = curve_file.to_zero_curve() if kind == "zero" else curve_file.to_swap_curve()
@@ -263,34 +273,33 @@ def cmd_scan(path: str, kind: str, mode: str, tol: float, out: str | None) -> No
 
 
 @main.command("butterfly")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--kind", type=click.Choice(["zero", "swap"]), default="zero", show_default=True)
-@click.option("--legs", required=True, help="Three maturities (zero) or grid years (swap).")
+@_path
+@_fly_kind
+@_legs
 @click.option("--moves", default=None, help="Per-leg moves in bp for the non-parallel weights.")
 # Accepted for scripts that still pass it; no output depends on it.
 @click.option("--horizon", type=float, hidden=True, expose_value=False)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_out
 def cmd_butterfly(path: str, kind: str, legs: str, moves: str | None, out: str | None) -> None:
     """Weights of the zero-cost butterfly at three legs."""
-    file_type = curve_io.ZERO if kind == "zero" else curve_io.SWAP
-    curve_file = curve_io.read_curve_file(path, file_type)
+    curve_file = curve_io.read_curve_file(path, kind)
     if kind == "swap":
         if moves is not None:
             raise ValueError("--moves applies to zero-bond butterflies only")
-        idx = _parse_triple(legs, "--legs", as_int=True)
+        idx = _grid_legs(legs)
         fly = swap_butterfly(curve_file.to_swap_curve(), idx)
         header = "kind,leg1,leg2,leg3,w1,w2,w3,annuity1,annuity2,annuity3"
         cells = ["swap", *map(str, idx), *map(_fmt, fly.weights + fly.base_annuities)]
         _emit([header, ",".join(cells)], out)
         return
-    t1, t2, t3 = _parse_triple(legs, "--legs")
+    t1, t2, t3 = _triple("--legs", legs)
     fly = zero_butterfly(t1, t2, t3)
     header = "kind,leg1,leg2,leg3,w1,w2,w3"
     cells = ["zero_bond", *map(_fmt, (t1, t2, t3) + fly.weights)]
     if moves is not None:
         zero = curve_file.to_zero_curve()
         yields = tuple(zero.yield_at(t) for t in (t1, t2, t3))
-        movements = tuple(m * BP for m in _parse_triple(moves, "--moves"))
+        movements = tuple(m * BP for m in _triple("--moves", moves))
         npw = nonparallel_weights(movements, (t1, t2, t3))
         safety = nonparallel_safe(npw, (t1, t2, t3), yields, movements)
         header += ",npw1,npw2,npw3,shifted_yield_margin,instantaneous_margin,safe"
@@ -300,22 +309,21 @@ def cmd_butterfly(path: str, kind: str, legs: str, moves: str | None, out: str |
 
 
 @main.command("pnl")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--kind", type=click.Choice(["zero", "swap"]), default="zero", show_default=True)
-@click.option("--legs", required=True)
+@_path
+@_fly_kind
+@_legs
 @click.option("--shift-bp", "shift_bp", required=True, help="Parallel shift grid lo:hi:step in bp.")
 @click.option("--horizon", type=float, default=0.0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_out
 def cmd_pnl(
     path: str, kind: str, legs: str, shift_bp: str, horizon: float, out: str | None
 ) -> None:
     """Butterfly P&L over a grid of parallel shifts."""
-    file_type = curve_io.ZERO if kind == "zero" else curve_io.SWAP
-    curve_file = curve_io.read_curve_file(path, file_type)
+    curve_file = curve_io.read_curve_file(path, kind)
     shifts = _parse_shift_range(shift_bp)
     if kind == "zero":
         zero = curve_file.to_zero_curve()
-        t1, t2, t3 = _parse_triple(legs, "--legs")
+        t1, t2, t3 = _triple("--legs", legs)
         fly = zero_butterfly(t1, t2, t3)
         yields = tuple(zero.yield_at(t) for t in (t1, t2, t3))
         lines = ["shift_bp,horizon,value"]
@@ -324,7 +332,7 @@ def cmd_pnl(
             lines.append(f"{_fmt(bp)},{_fmt(horizon)},{_fmt(value)}")
     else:
         swaps = curve_file.to_swap_curve()
-        idx = _parse_triple(legs, "--legs", as_int=True)
+        idx = _grid_legs(legs)
         fly = swap_butterfly(swaps, idx)
         lines = ["shift_bp,carry,mark_to_market,total"]
         for bp in shifts:
@@ -336,19 +344,8 @@ def cmd_pnl(
     _emit(lines, out)
 
 
-def _parse_verify_shift(text: str) -> ShiftScenario:
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        values = [float(p) * BP for p in parts]
-    except ValueError:
-        raise ValueError(f"could not parse --shift-bp from {text!r}") from None
-    if len(values) == 1:
-        return ShiftScenario.parallel(values[0])
-    return ShiftScenario.per_tenor(values)
-
-
 @main.command("verify")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
+@_path
 @click.option(
     "--shift-bp",
     "shift_bp",
@@ -358,11 +355,12 @@ def _parse_verify_shift(text: str) -> ShiftScenario:
 )
 @click.option("--trials", type=int, default=0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_out
 def cmd_verify(path: str, shift_bp: str, trials: int, seed: int, out: str | None) -> None:
     """Shift-response checks on the file's curve and seeded perturbations."""
     curve_file = curve_io.read_curve_file(path, curve_io.SWAP)
-    scenario = _parse_verify_shift(shift_bp)
+    shift = [bp * BP for bp in _numbers("--shift-bp", shift_bp)]
+    scenario = ShiftScenario.parallel(*shift) if len(shift) == 1 else ShiftScenario.per_tenor(shift)
     if trials < 0:
         raise ValueError("--trials must be >= 0")
     if trials > MAX_TRIALS:

@@ -37,6 +37,9 @@ RATE_HI = 1.0
 # this of equality count as violations of strictness.
 MONOTONE_TOL = 1e-12
 
+# How far a tenor may sit from its year on the integer grid 1..N.
+_GRID_TOL = 1e-9
+
 NON_DECREASING_DISCOUNT = "non_decreasing_discount"
 NON_POSITIVE_DISCOUNT = "non_positive_discount"
 NON_POSITIVE_FORWARD = "non_positive_forward"
@@ -363,11 +366,11 @@ def _require_valid(curve: DiscountCurve, what: str) -> DiscountCurve:
     return curve
 
 
-def _require_integer_grid(tenors: tuple[float, ...], tol: float = 1e-9) -> None:
+def _require_integer_grid(tenors: tuple[float, ...]) -> None:
     if tenors == tuple(map(float, range(1, len(tenors) + 1))):
         return  # exactly the grid: the tolerant loop below would pass it
     for n, t in enumerate(tenors, start=1):
-        if abs(t - n) > tol:
+        if abs(t - n) > _GRID_TOL:
             raise ValueError(
                 f"tenors must be the consecutive integers 1..N, got {t} at position {n}"
             )

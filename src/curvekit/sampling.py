@@ -10,10 +10,21 @@ be seeded from a base seed plus trial index and replayed bit-for-bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from random import Random
 
 from .bootstrap import swap_rates_from_discounts
 from .curves import DiscountCurve, ForwardCurve, SwapCurve
+
+
+def _discounts(forwards: Iterable[float]) -> DiscountCurve:
+    """Discount curve of consecutive one-year forwards, read in order."""
+    factors = []
+    acc = 1.0
+    for f in forwards:
+        acc /= 1.0 + f
+        factors.append(acc)
+    return DiscountCurve(tuple(factors))
 
 
 def random_discount_curve(
@@ -24,12 +35,7 @@ def random_discount_curve(
         raise ValueError("curve length must be at least 1")
     if not 0.0 < f_lo < f_hi:
         raise ValueError("forward bounds must satisfy 0 < f_lo < f_hi")
-    factors = []
-    acc = 1.0
-    for _ in range(n):
-        acc /= 1.0 + rng.uniform(f_lo, f_hi)
-        factors.append(acc)
-    return DiscountCurve(tuple(factors))
+    return _discounts(rng.uniform(f_lo, f_hi) for _ in range(n))
 
 
 def random_swap_curve(
@@ -55,12 +61,7 @@ def random_nondecreasing_swap_curve(
     implies negative discount factors.)
     """
     forwards = sorted(rng.uniform(f_lo, f_hi) for _ in range(n))
-    factors = []
-    acc = 1.0
-    for f in forwards:
-        acc /= 1.0 + f
-        factors.append(acc)
-    return swap_rates_from_discounts(DiscountCurve(tuple(factors)))
+    return swap_rates_from_discounts(_discounts(forwards))
 
 
 def perturb_swap_curve(rng: Random, forwards: ForwardCurve) -> SwapCurve:
@@ -71,9 +72,5 @@ def perturb_swap_curve(rng: Random, forwards: ForwardCurve) -> SwapCurve:
     curve valid.  Callers that perturb one curve many times compute its
     forwards once.
     """
-    factors = []
-    acc = 1.0
-    for f in forwards.forwards:
-        acc /= 1.0 + f * math.exp(rng.uniform(-0.25, 0.25))
-        factors.append(acc)
-    return swap_rates_from_discounts(DiscountCurve(tuple(factors)))
+    jitter = (f * math.exp(rng.uniform(-0.25, 0.25)) for f in forwards.forwards)
+    return swap_rates_from_discounts(_discounts(jitter))

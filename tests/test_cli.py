@@ -372,6 +372,8 @@ class TestPnlCommand:
             ("0:100:60", ["0", "60"]),
             ("0:2:3", ["0"]),
             ("-10:25:10", ["-10", "0", "10", "20"]),
+            # A value may start with a dash and is still the option's value.
+            ("-100:100:100", ["-100", "0", "100"]),
         ],
     )
     def test_shift_grid_never_passes_hi(self, runner, flat, grid, shifts):
@@ -451,6 +453,20 @@ class TestVerifyCommand:
                 ["verify", flat, "--shift-bp", "100", "--trials", "10", "--seed", str(seed)],
             )
             assert result.exit_code == 0
+
+    def test_falling_per_tenor_shift_skips_the_parallel_checks(self, runner, flat):
+        # A value that starts with a dash is the option's value, not an option.
+        result = runner.invoke(main, ["verify", flat, "--shift-bp", "-10,-20,-30"])
+        assert result.exit_code == 0
+        assert result.output == (
+            "check,status,first_violation,detail\n"
+            "annuity_bound,PASS,,\n"
+            "bracket_identity,SKIP,,shift scenario outside this check's hypothesis\n"
+            "discount_drop,SKIP,,shift scenario outside this check's hypothesis\n"
+            "annuity_ratio_decreasing,SKIP,,shift scenario outside this check's hypothesis\n"
+            "discount_ratio_monotone,PASS,,\n"
+            "annuity_triples,PASS,,\n"
+        )
 
     def test_invalid_input_curve_exit_1(self, runner, tmp_path):
         path = tmp_path / "inv.csv"
@@ -588,6 +604,19 @@ class TestHostileFlags:
                 "cannot write {missing}/table.csv: No such file or directory",
             ),
             (
+                FLAT_CSV.encode(),
+                ["bootstrap", "{path}", "--out", "{dir}"],
+                1,
+                "cannot write {dir}: Is a directory",
+            ),
+            (
+                FLAT_CSV.encode(),
+                ["verify", "{missing}"],
+                2,
+                "cannot read {missing}: No such file or directory",
+            ),
+            (FLAT_CSV.encode(), ["par", "{dir}"], 2, "cannot read {dir}: Is a directory"),
+            (
                 b'{"curve_type": "zero", "points": [{"t": 1, "r": -0.4},'
                 b' {"t": 2, "r": -0.4}, {"t": 100000, "r": -0.4}]}',
                 ["scan", "{path}"],
@@ -655,6 +684,9 @@ class TestHostileFlags:
         ids=[
             "non-utf8-file",
             "out-into-missing-dir",
+            "out-into-directory",
+            "missing-file",
+            "directory-as-path",
             "zero-price-overflow",
             "zero-price-overflow-at-first-point",
             "pnl-exp-overflow",
@@ -670,10 +702,45 @@ class TestHostileFlags:
     def test_file_and_arithmetic_failures(self, runner, tmp_path, text, args, code, message):
         path = tmp_path / "curve.txt"
         path.write_bytes(text)
-        fields = {"path": str(path), "missing": str(tmp_path / "missing")}
+        fields = {"path": str(path), "missing": str(tmp_path / "missing"), "dir": str(tmp_path)}
         result = runner.invoke(main, [a.format(**fields) for a in args])
         assert_clean_refusal(result, code)
         assert result.stderr == f"error: {message.format(**fields)}\n"
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("bootstrap", []),
+            ("par", []),
+            ("forwards", []),
+            ("validate", []),
+            ("scan", []),
+            ("butterfly", ["--legs", "1,2,3"]),
+            ("pnl", ["--legs", "1,2,3", "--shift-bp", "0:0:1"]),
+            ("verify", []),
+        ],
+    )
+    def test_every_command_refuses_files_alike(self, runner, flat, tmp_path, command, flags):
+        # The curve reader and the table writer own the file checks for every command.
+        missing = str(tmp_path / "missing.csv")
+        result = runner.invoke(main, [command, missing, *flags])
+        assert_clean_refusal(result, 2)
+        assert result.stderr == f"error: cannot read {missing}: No such file or directory\n"
+        result = runner.invoke(main, [command, flat, *flags, "--out", str(tmp_path)])
+        assert_clean_refusal(result, 1)
+        assert result.stderr == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "{flat}", "--shift", "10"],
+            ["pnl", "{flat}", "--legs", "1,2,3", "--shift", "0:0:1"],
+        ],
+    )
+    def test_abbreviated_option_is_a_usage_error(self, runner, flat, args):
+        result = runner.invoke(main, [a.format(flat=flat) for a in args])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.startswith("Usage: ") and "'--shift'" in result.stderr
 
     @pytest.mark.parametrize(
         "args, text",
@@ -898,6 +965,26 @@ class TestProcessEntry:
             child = self.spawn("-c", code, stdout=full)
         assert child.returncode == 120
         assert "No space left on device" in child.stderr and "Traceback" not in child.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("grid", ["0:0:1", "-5000:5000:1"], ids=["one-row", "10001-rows"])
+    def test_full_stdout_is_one_error_line(self, zero_kink, grid):
+        args = ["pnl", zero_kink, "--legs", "1,2,3", "--shift-bp", grid]
+        with open("/dev/full", "w") as full:
+            child = self.spawn("-m", "curvekit.cli", *args, stdout=full)
+        assert child.returncode == 1
+        assert child.stderr == "error: cannot write to stdout: No space left on device\n"
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs a pipe without a reader")
+    def test_closed_pipe_exits_1_silently(self, flat):
+        # click ends a write into a pipe nobody reads with exit 1 and no message.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = self.spawn("-m", "curvekit.cli", "bootstrap", flat, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1 and child.stderr == ""
 
     def test_dev_mode_exits_with_the_same_code(self, tmp_path):
         path = tmp_path / "invalid.csv"
