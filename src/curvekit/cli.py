@@ -7,24 +7,23 @@ at this boundary; everything below works in decimals.  Numeric output is
 formatted to 12 significant digits so values round-trip at 1e-12.
 
 Exit codes: 0 success, 1 domain or validation failure or unwritable
-output, 2 unreadable or malformed input.  :class:`_ExitCodes` maps
-refusals to them once, for every command.  :func:`run` is the process
-entry point; :func:`main`, the click group, is the in-process one.  Every command is
-deterministic given its inputs and flags; randomized verification trials
-derive their generators from the --seed value plus the trial index,
-never from ambient randomness.
+output, 2 unreadable or malformed input or command line.  :func:`main`
+parses with :mod:`argparse` and maps refusals to them once, for every
+command; it is the in-process entry point, :func:`run` the process one.
+Every command is deterministic given its inputs and flags; randomized
+verification trials derive their generators from the --seed value plus
+the trial index, never from ambient randomness.
 """
 
 from __future__ import annotations
 
+import argparse
 import atexit
 import functools
 import math
 import os
 import sys
 from random import Random
-
-import click
 
 from . import io as curve_io
 from .bootstrap import ShiftScenario, bootstrap, shift_response, shifted_bootstrap
@@ -70,16 +69,16 @@ def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     try:
         if out is None:
-            click.echo(text, nl=False)
+            print(text, end="", flush=True)  # no-op when stdout was closed at start
         else:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
         if out is not None:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from None
-        if isinstance(exc, BrokenPipeError):
-            raise  # click ends a closed pipe with a silent exit 1
         sys.stdout = None  # its buffer holds the refused bytes: no flush at exit retries them
+        if isinstance(exc, BrokenPipeError):
+            raise SystemExit(1) from None  # nobody reads on: a silent exit 1
         raise ValueError(f"cannot write to stdout: {exc.strerror}") from None
 
 
@@ -139,63 +138,35 @@ def _parse_shift_range(text: str) -> list[float]:
     return [lo + i * step for i in range(math.floor(span) + 1)]
 
 
-class _ExitCodes(click.Group):
-    """The exit-code contract, decided in one place for every command.
-
-    A curve file that cannot be read or parsed exits 2; any other refusal
-    raised by a command or the library (ValueError, OverflowError) exits
-    1.  Either way stderr carries one ``error:`` line and no traceback.
-    """
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (ValueError, OverflowError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2 if isinstance(exc, curve_io.CurveFileError) else 1)
+# Each command's function and options beyond PATH, as flags and add_argument keywords.
+# read_curve_file (exit 2) and _emit (exit 1) own the file checks; the parser only parses.
+_COMMANDS: dict[str, tuple] = {}
+_STRICT = dict(add_help=False, allow_abbrev=False)  # no -h, no abbreviated options
+_DEFAULT = "(default: %(default)s)"
+_OUT = ("--out", dict(metavar="FILE"))
+_HELP = ("--help", dict(action="help", help="Show this message and exit."))
+_CURVE_TYPE = ("--curve-type", dict(choices=curve_io.CURVE_TYPES, default="swap", help=_DEFAULT))
+# A --kind is also the file's curve type.
+_FLY_KIND = ("--kind", dict(choices=(curve_io.ZERO, curve_io.SWAP), default="zero", help=_DEFAULT))
+_LEGS = ("--legs", dict(required=True, help="Three maturities (zero) or grid years (swap)."))
 
 
-@click.group(cls=_ExitCodes)
-def main() -> None:
-    """Yield-curve analytics: bootstrap, conversions, shape and butterflies."""
+def _command(name: str, *options: tuple[str, dict]):
+    return lambda fn: _COMMANDS.setdefault(name, (fn, (*options, _OUT)))[0]
 
 
-# Parameters several commands share.  read_curve_file (exit 2) and _emit
-# (exit 1) own the file checks, so click only parses.
-_path = click.argument("path")
-_out = click.option("--out", metavar="FILE", default=None)
-_curve_type = click.option(
-    "--curve-type",
-    type=click.Choice(curve_io.CURVE_TYPES),
-    default=curve_io.SWAP,
-    show_default=True,
-    help="How to interpret a delimited file.",
-)
-_kinds = click.Choice([curve_io.ZERO, curve_io.SWAP])  # a --kind is also the file's curve type
-_fly_kind = click.option("--kind", type=_kinds, default=curve_io.ZERO, show_default=True)
-_legs = click.option("--legs", required=True, help="Three maturities (zero) or grid years (swap).")
-
-
-@main.command("bootstrap")
-@_path
-@click.option("--strict", is_flag=True, help="Exit 1 on an invalid discount factor.")
-@_out
+@_command("bootstrap", ("--strict", dict(action="store_true", help="Exit 1 on an invalid factor.")))
 def cmd_bootstrap(path: str, strict: bool, out: str | None) -> None:
     """Swap rates to discount factors and annuities."""
     swaps = curve_io.read_curve_file(path, curve_io.SWAP).to_swap_curve()
     curve = bootstrap(swaps, strict=strict)
     lines = ["n,swap_rate,discount_factor,annuity"]
-    for n, (x, p, a) in enumerate(
-        zip(swaps.rates, curve.factors, curve.annuities), start=1
-    ):
+    for n, (x, p, a) in enumerate(zip(swaps.rates, curve.factors, curve.annuities), start=1):
         lines.append(f"{n},{_fmt(x)},{_fmt(p)},{_fmt(a)}")
     _emit(lines, out)
 
 
-@main.command("par")
-@_path
-@_curve_type
-@_out
+@_command("par", _CURVE_TYPE)
 def cmd_par(path: str, curve_type: str, out: str | None) -> None:
     """Par rates of a curve."""
     rates = par_rates(_as_discounts(curve_io.read_curve_file(path, curve_type)))
@@ -205,10 +176,7 @@ def cmd_par(path: str, curve_type: str, out: str | None) -> None:
     _emit(lines, out)
 
 
-@main.command("forwards")
-@_path
-@_curve_type
-@_out
+@_command("forwards", _CURVE_TYPE)
 def cmd_forwards(path: str, curve_type: str, out: str | None) -> None:
     """One-year forward rates; interval i covers years (i, i+1)."""
     fwd = forward_rates(_as_discounts(curve_io.read_curve_file(path, curve_type)))
@@ -218,11 +186,7 @@ def cmd_forwards(path: str, curve_type: str, out: str | None) -> None:
     _emit(lines, out)
 
 
-@main.command("validate")
-@_path
-@_curve_type
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@_out
+@_command("validate", _CURVE_TYPE, ("--tol", dict(type=float, default=1e-12, help=_DEFAULT)))
 def cmd_validate(path: str, curve_type: str, tol: float, out: str | None) -> None:
     """No-arbitrage violations of a curve's discount factors; exit 1 if any."""
     curve_file = curve_io.read_curve_file(path, curve_type)
@@ -236,23 +200,12 @@ def cmd_validate(path: str, curve_type: str, tol: float, out: str | None) -> Non
         sys.exit(1)
 
 
-@main.command("scan")
-@_path
-@click.option(
-    "--kind",
-    type=_kinds,
-    default=curve_io.ZERO,
-    show_default=True,
-    help="Scan zero yields against tenor, or swap rates against annuity.",
+@_command(
+    "scan",
+    ("--kind", dict(_FLY_KIND[1], help="Zero yields by tenor or swaps by annuity " + _DEFAULT)),
+    ("--mode", dict(choices=("consecutive", "all"), default="consecutive", help=_DEFAULT)),
+    ("--tol", dict(type=float, default=1e-9, help=_DEFAULT)),
 )
-@click.option(
-    "--mode",
-    type=click.Choice(["consecutive", "all"]),
-    default="consecutive",
-    show_default=True,
-)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
-@_out
 def cmd_scan(path: str, kind: str, mode: str, tol: float, out: str | None) -> None:
     """Convex triples of a curve, largest margin first."""
     curve_file = curve_io.read_curve_file(path, kind)
@@ -272,16 +225,18 @@ def cmd_scan(path: str, kind: str, mode: str, tol: float, out: str | None) -> No
     _emit(lines, out)
 
 
-@main.command("butterfly")
-@_path
-@_fly_kind
-@_legs
-@click.option("--moves", default=None, help="Per-leg moves in bp for the non-parallel weights.")
-# Accepted for scripts that still pass it; no output depends on it.
-@click.option("--horizon", type=float, hidden=True, expose_value=False)
-@_out
-def cmd_butterfly(path: str, kind: str, legs: str, moves: str | None, out: str | None) -> None:
+@_command(
+    "butterfly",
+    _FLY_KIND,
+    _LEGS,
+    ("--moves", dict(help="Per-leg moves in bp for the non-parallel weights.")),
+    ("--horizon", dict(type=float, help=argparse.SUPPRESS)),
+)
+def cmd_butterfly(
+    path: str, kind: str, legs: str, moves: str | None, horizon: float | None, out: str | None
+) -> None:
     """Weights of the zero-cost butterfly at three legs."""
+    del horizon  # accepted for scripts that still pass it; no output depends on it
     curve_file = curve_io.read_curve_file(path, kind)
     if kind == "swap":
         if moves is not None:
@@ -308,13 +263,13 @@ def cmd_butterfly(path: str, kind: str, legs: str, moves: str | None, out: str |
     _emit([header, ",".join(cells)], out)
 
 
-@main.command("pnl")
-@_path
-@_fly_kind
-@_legs
-@click.option("--shift-bp", "shift_bp", required=True, help="Parallel shift grid lo:hi:step in bp.")
-@click.option("--horizon", type=float, default=0.0, show_default=True)
-@_out
+@_command(
+    "pnl",
+    _FLY_KIND,
+    _LEGS,
+    ("--shift-bp", dict(required=True, help="Parallel shift grid lo:hi:step in bp.")),
+    ("--horizon", dict(type=float, default=0.0, help=_DEFAULT)),
+)
 def cmd_pnl(
     path: str, kind: str, legs: str, shift_bp: str, horizon: float, out: str | None
 ) -> None:
@@ -337,25 +292,17 @@ def cmd_pnl(
         lines = ["shift_bp,carry,mark_to_market,total"]
         for bp in shifts:
             pnl = swap_butterfly_pnl(fly, swaps, bp * BP, horizon)
-            lines.append(
-                f"{_fmt(bp)},{_fmt(pnl.carry)},"
-                f"{_fmt(pnl.mark_to_market)},{_fmt(pnl.total)}"
-            )
+            cells = (bp, pnl.carry, pnl.mark_to_market, pnl.total)
+            lines.append(",".join(map(_fmt, cells)))
     _emit(lines, out)
 
 
-@main.command("verify")
-@_path
-@click.option(
-    "--shift-bp",
-    "shift_bp",
-    default="100",
-    show_default=True,
-    help="Shift in bp: one value (parallel) or one per tenor, comma-separated.",
+@_command(
+    "verify",
+    ("--shift-bp", dict(default="100", help="One shift in bp, or one per tenor " + _DEFAULT)),
+    ("--trials", dict(type=int, default=0, help=_DEFAULT)),
+    ("--seed", dict(type=int, default=0, help=_DEFAULT)),
 )
-@click.option("--trials", type=int, default=0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_out
 def cmd_verify(path: str, shift_bp: str, trials: int, seed: int, out: str | None) -> None:
     """Shift-response checks on the file's curve and seeded perturbations."""
     curve_file = curve_io.read_curve_file(path, curve_io.SWAP)
@@ -370,10 +317,7 @@ def cmd_verify(path: str, shift_bp: str, trials: int, seed: int, out: str | None
     # The checks presuppose a functioning shifted market, so a scenario
     # that breaks the shifted curve is an input error, not a finding.
     shifted = _require_valid(shifted_bootstrap(swaps, scenario), "shifted curve")
-    rows = {
-        name: ("base", outcome)
-        for name, outcome in shift_response(base, shifted, scenario)
-    }
+    rows = {name: ("base", outcome) for name, outcome in shift_response(base, shifted, scenario)}
     forwards = forward_rates(base)
     for trial in range(trials):
         rng = Random(f"{seed}:{trial}")
@@ -392,8 +336,7 @@ def cmd_verify(path: str, shift_bp: str, trials: int, seed: int, out: str | None
     for name, (label, outcome) in rows.items():
         if outcome is None:
             lines.append(f"{name},SKIP,,shift scenario outside this check's hypothesis")
-            continue
-        if outcome.passed:
+        elif outcome.passed:
             lines.append(f"{name},PASS,,")
         else:
             failed = True
@@ -404,27 +347,84 @@ def cmd_verify(path: str, shift_bp: str, trials: int, seed: int, out: str | None
         sys.exit(1)
 
 
+class _Parser(argparse.ArgumentParser):
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:  # --out --: argparse < 3.13 drops it
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    description = "Yield-curve analytics: bootstrap, conversions, shape and butterflies."
+    parser = _Parser(prog=prog, description=description, **_STRICT)
+    parser.add_argument(_HELP[0], **_HELP[1])
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (fn, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, **_STRICT)
+        sub.add_argument("path", metavar="PATH")
+        for flag, kwargs in (*options, _HELP):
+            sub.add_argument(flag, **kwargs)
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run one command line; end, as a process would, with ``SystemExit(exit code)``."""
+    args = sys.argv[1:] if args is None else list(args)
+    if args[:1] == ["--"]:
+        del args[0]  # a "--" before the command ends no options
+    if args and args[0] in _COMMANDS:
+        # A value option takes the next token even if it starts with a dash (--shift-bp
+        # -100:100:10, --out --strict), which argparse would not: pass it as --opt=value.
+        takes_value = {f for f, kw in _COMMANDS[args[0]][1] if kw.get("action") != "store_true"}
+        i = 1
+        while i < len(args) and args[i] != "--":  # "--" ends the options
+            if args[i] in takes_value and i + 1 < len(args):
+                args[i : i + 2] = [f"{args[i]}={args[i + 1]}"]
+            i += 1
+        if args[i:] == ["--"]:
+            args.pop()  # argparse refuses a last "--", which ends nothing
+    parsed = vars(_parser(prog_name or "curvekit").parse_args(args))
+    try:
+        _COMMANDS[parsed.pop("command")][0](**parsed)
+    except (ValueError, OverflowError) as exc:
+        message, code = f"error: {exc}", 2 if isinstance(exc, curve_io.CurveFileError) else 1
+    except KeyboardInterrupt:
+        message, code = "\nAborted!", 1  # an interrupted run exits 1, as it always has
+    else:
+        raise SystemExit(0)
+    if sys.stderr is not None:
+        sys.stderr.write(message + "\n")
+    raise SystemExit(code)
+
+
+# CliRunner (tests, perfbench) drives a command through its main and name.
+# Both go when perfbench stops driving main through CliRunner (ROADMAP item 1).
+main.main, main.name = main, "curvekit"
+
+
 def run() -> None:
     """Process entry point: run ``main`` and end the process without teardown.
 
     Once the command has exited, the process runs the atexit handlers,
-    flushes stdout and stderr and ends with ``os._exit``, skipping the
-    interpreter's teardown, which would only free memory the process is
-    about to give back.  ``os._exit`` does not wait for threads; the CLI
-    starts none.  When a flush fails it takes the normal shutdown
-    instead, so the interpreter's broken-pipe report is kept.  In-process
-    callers (tests, ``CliRunner``) use ``main``, which raises
-    ``SystemExit`` and never calls ``os._exit``.
+    flushes stdout and stderr and ends with ``os._exit``: teardown would
+    only free memory the process gives back anyway, and the CLI starts no
+    thread for ``os._exit`` to leave behind.  A flush into a pipe nobody
+    reads exits 1 silently; any other failed flush takes the normal
+    shutdown, so the interpreter reports it.
     """
     try:
-        main()  # in standalone mode click ends every invocation with sys.exit(int)
-    except SystemExit as exc:
-        code = 0 if exc.code is None else exc.code
+        main()
+    except SystemExit as exc:  # main ends every call with SystemExit(int)
+        code = exc.code
     atexit._run_exitfuncs()
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None when the fd was closed at start
                 stream.flush()
+    except BrokenPipeError:
+        os._exit(1)  # as _emit ends a table; a --help page meets the closed pipe only here
     except OSError:
         raise SystemExit(code)
     os._exit(code)

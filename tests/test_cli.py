@@ -740,7 +740,8 @@ class TestHostileFlags:
     def test_abbreviated_option_is_a_usage_error(self, runner, flat, args):
         result = runner.invoke(main, [a.format(flat=flat) for a in args])
         assert result.exit_code == 2 and result.stdout == ""
-        assert result.stderr.startswith("Usage: ") and "'--shift'" in result.stderr
+        # argparse names the first refusal: the unknown --shift, or pnl's missing --shift-bp.
+        assert result.stderr.startswith("usage: ") and ": error: " in result.stderr
 
     @pytest.mark.parametrize(
         "args, text",
@@ -879,6 +880,22 @@ def test_cli_import_adds_no_dataclasses_or_json():
     assert not added & {"dataclasses", "json"}
 
 
+def test_cli_import_loads_no_click_json_or_numpy():
+    # The command line is parsed by the standard library; no heavy import
+    # sits on the path of every command.
+    code = "import sys, curvekit.cli; print(' '.join(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(result.stdout.split())
+    assert "curvekit.cli" in loaded
+    assert not loaded & {"click", "json", "numpy"}
+
+
 class TestProcessEntry:
     """``python -m curvekit.cli`` ends through ``cli.run`` without teardown.
 
@@ -922,7 +939,7 @@ class TestProcessEntry:
     def test_help_and_usage_errors(self, args, code):
         child = self.spawn("-m", "curvekit.cli", *args)
         assert child.returncode == code
-        assert "Usage: " in (child.stdout if code == 0 else child.stderr)
+        assert "usage: " in (child.stdout if code == 0 else child.stderr)
 
     def test_out_file_is_written_whole(self, tmp_path, zero_kink):
         # Far more than one write buffer, so an unflushed file would be cut short.
@@ -977,11 +994,23 @@ class TestProcessEntry:
 
     @pytest.mark.skipif(os.name != "posix", reason="needs a pipe without a reader")
     def test_closed_pipe_exits_1_silently(self, flat):
-        # click ends a write into a pipe nobody reads with exit 1 and no message.
+        # A write into a pipe nobody reads ends with exit 1 and no message.
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             child = self.spawn("-m", "curvekit.cli", "bootstrap", flat, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert child.returncode == 1 and child.stderr == ""
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs a pipe without a reader")
+    @pytest.mark.parametrize("args", [["--help"], ["bootstrap", "--help"]])
+    def test_help_into_closed_pipe_exits_1_silently(self, args):
+        # The help page fails only at the final flush, which run() turns into the same exit.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = self.spawn("-m", "curvekit.cli", *args, stdout=write_end)
         finally:
             os.close(write_end)
         assert child.returncode == 1 and child.stderr == ""
