@@ -6,7 +6,7 @@ checks, convexity classification of curve triples, and zero-cost
 butterfly construction with shift P&L and arbitrage scans.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .bootstrap import (
     BootstrapError,
@@ -26,7 +26,6 @@ from .bootstrap import (
 from .butterfly import (
     ArbitrageCandidate,
     Butterfly,
-    NonParallelMove,
     PnlBreakdown,
     SafetyCheck,
     nonparallel_safe,
@@ -73,7 +72,6 @@ __all__ = [
     "DiscountCurve",
     "ForwardCurve",
     "LimitReport",
-    "NonParallelMove",
     "PnlBreakdown",
     "SafetyCheck",
     "ShapeReport",

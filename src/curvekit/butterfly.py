@@ -71,19 +71,6 @@ class PnlBreakdown(_Record):
         object.__setattr__(self, "remaining_annuities", remaining_annuities)
 
 
-class NonParallelMove(_Record):
-    """Per-leg rate moves (a1, a2, a3)."""
-
-    def __init__(self, movements: Triple) -> None:
-        movements = tuple(float(a) for a in movements)
-        if len(movements) != 3:
-            raise ValueError("exactly three per-leg movements are required")
-        for a in movements:
-            if not math.isfinite(a):
-                raise ValueError("movements must be finite")
-        object.__setattr__(self, "movements", movements)
-
-
 class SafetyCheck(_Record):
     """Outcome of the non-parallel safety conditions.
 
@@ -174,7 +161,7 @@ def nonparallel_weights(moves: Triple, maturities: Triple) -> Triple:
     """Butterfly weights that keep zero cost under per-leg moves.
 
     With products m_i = a_i * T_i the weights are (m3 - m2, m3 - m1,
-    m2 - m1); all three must come out positive, which requires
+    m2 - m1); all three must come out positive and finite, which requires
     a1*T1 < a2*T2 < a3*T3.  Equal moves reduce to the zero-butterfly
     weights scaled by the common move.
     """
@@ -182,7 +169,7 @@ def nonparallel_weights(moves: Triple, maturities: Triple) -> Triple:
     t1, t2, t3 = maturities
     w1 = a3 * t3 - a2 * t2
     w3 = a2 * t2 - a1 * t1
-    if w1 <= 0.0 or w3 <= 0.0:
+    if not (w1 > 0.0 and w3 > 0.0 and w1 + w3 < math.inf):  # a NaN product fails too
         raise ValueError(
             "moves must satisfy a1*T1 < a2*T2 < a3*T3 for positive weights, "
             f"got products ({a1 * t1}, {a2 * t2}, {a3 * t3})"
@@ -202,9 +189,9 @@ def nonparallel_safe(
     - instantaneous condition: w1*a1*T1 + w3*a3*T3 <= w2*a2*T2.
     """
     w1, w2, w3 = weights
-    if w1 <= 0.0 or w2 <= 0.0 or w3 <= 0.0:
+    if not (w1 > 0.0 and w2 > 0.0 and w3 > 0.0):  # a NaN weight fails too
         raise ValueError("weights must all be positive")
-    if abs((w1 + w3) - w2) > 1e-9 * max(w1, w2, w3):
+    if not abs((w1 + w3) - w2) <= 1e-9 * max(w1, w2, w3) < math.inf:  # so does an infinite one
         raise ValueError("weights must satisfy w1 + w3 = w2")
     t1, t2, t3 = maturities
     y1, y2, y3 = yields

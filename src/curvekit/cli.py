@@ -356,7 +356,8 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
+def _parser(prog: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own."""
     description = "Yield-curve analytics: bootstrap, conversions, shape and butterflies."
     parser = _Parser(prog=prog, description=description, **_STRICT)
     parser.add_argument(_HELP[0], **_HELP[1])
@@ -366,7 +367,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
         sub.add_argument("path", metavar="PATH")
         for flag, kwargs in (*options, _HELP):
             sub.add_argument(flag, **kwargs)
-    return parser
+    return parser, commands.choices
 
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
@@ -385,7 +386,11 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
             i += 1
         if args[i:] == ["--"]:
             args.pop()  # argparse refuses a last "--", which ends nothing
-    parsed = vars(_parser(prog_name or "curvekit").parse_args(args))
+    parser, commands = _parser(prog_name or "curvekit")
+    parsed, unknown = parser.parse_known_args(args)
+    if unknown:  # reported by the command's parser when the command comes first
+        (commands.get(args[0]) or parser).error(f"unrecognized arguments: {' '.join(unknown)}")
+    parsed = vars(parsed)
     try:
         _COMMANDS[parsed.pop("command")][0](**parsed)
     except (ValueError, OverflowError) as exc:
@@ -399,8 +404,8 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     raise SystemExit(code)
 
 
-# CliRunner (tests, perfbench) drives a command through its main and name.
-# Both go when perfbench stops driving main through CliRunner (ROADMAP item 1).
+# perfbench alone drives main through click's CliRunner, which reads main and name.
+# Both go when perfbench calls main directly (ROADMAP item 1).
 main.main, main.name = main, "curvekit"
 
 

@@ -10,11 +10,10 @@ import time
 from itertools import combinations
 from random import Random
 
-from click.testing import CliRunner
+from clirun import run_cli
 
 from curvekit.bootstrap import ShiftScenario, bootstrap, shifted_bootstrap, swap_rates_from_discounts
 from curvekit.butterfly import scan_arbitrage, swap_butterfly, swap_butterfly_pnl, zero_butterfly, zero_butterfly_pnl
-from curvekit.cli import main as cli_main
 from curvekit.curves import DiscountCurve, SwapCurve, ZeroCurve, par_rates, validate, zeros_from_discounts
 from curvekit.sampling import random_nondecreasing_swap_curve, random_swap_curve
 from curvekit.shape import CONCAVE_EVERYWHERE, CONVEX, annuity_point_classification, classify_triple, scan_curve_shape
@@ -314,56 +313,54 @@ def test_criterion_9_scanner_matches_shape_scan():
     )
 
 
-def test_criterion_10_cli_determinism_and_exit_codes():
-    runner = CliRunner()
+def test_criterion_10_cli_determinism_and_exit_codes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     failures = []
 
     def run(args, expect_code):
-        first = runner.invoke(cli_main, args)
-        second = runner.invoke(cli_main, args)
-        if first.output != second.output or first.exit_code != second.exit_code:
+        first = run_cli(args)
+        if run_cli(args) != first:
             failures.append(("nondeterministic", args))
-        if first.exit_code != expect_code:
-            failures.append(("exit", args, first.exit_code))
+        if first.code != expect_code:
+            failures.append(("exit", args, first.code))
         return first
 
-    with runner.isolated_filesystem():
-        with open("flat.csv", "w") as fh:
-            fh.write("tenor_years,rate\n1,0.05\n2,0.05\n3,0.05\n")
-        with open("kink.json", "w") as fh:
-            fh.write(
-                '{"curve_type": "zero", "points": [{"t": 1, "r": 0.02},'
-                ' {"t": 2, "r": 0.025}, {"t": 3, "r": 0.04}]}'
-            )
-        with open("invalid.csv", "w") as fh:
-            fh.write("tenor_years,rate\n1,0.2\n2,0.001\n")
-        with open("broken.csv", "w") as fh:
-            fh.write("tenor_years,rate\n1,0.05\nnot,a,row\n")
-
-        boot = run(["bootstrap", "flat.csv"], 0)
-        expected = ["n,swap_rate,discount_factor,annuity"]
-        annuity = 0.0
-        for n in (1, 2, 3):
-            p = 1.05**-n
-            annuity += p
-            expected.append(f"{n},0.05,{format(p, '.12g')},{format(annuity, '.12g')}")
-        if boot.output != "\n".join(expected) + "\n":
-            failures.append(("golden bootstrap", boot.output))
-
-        run(["par", "flat.csv"], 0)
-        run(["forwards", "flat.csv"], 0)
-        run(["validate", "flat.csv"], 0)
-        run(["scan", "kink.json", "--mode", "all"], 0)
-        run(["butterfly", "kink.json", "--legs", "1,2,3", "--moves", "50,50,120"], 0)
-        run(["pnl", "kink.json", "--legs", "1,2,3", "--shift-bp", "-300:300:150"], 0)
-        run(
-            ["verify", "flat.csv", "--shift-bp", "75", "--trials", "25", "--seed", "42"],
-            0,
+    with open("flat.csv", "w") as fh:
+        fh.write("tenor_years,rate\n1,0.05\n2,0.05\n3,0.05\n")
+    with open("kink.json", "w") as fh:
+        fh.write(
+            '{"curve_type": "zero", "points": [{"t": 1, "r": 0.02},'
+            ' {"t": 2, "r": 0.025}, {"t": 3, "r": 0.04}]}'
         )
-        run(["bootstrap", "invalid.csv", "--strict"], 1)
-        run(["scan", "kink.json", "--kind", "swap"], 1)
-        run(["bootstrap", "broken.csv"], 2)
-        run(["verify", "flat.csv", "--shift-bp", "10,0,0"], 1)
+    with open("invalid.csv", "w") as fh:
+        fh.write("tenor_years,rate\n1,0.2\n2,0.001\n")
+    with open("broken.csv", "w") as fh:
+        fh.write("tenor_years,rate\n1,0.05\nnot,a,row\n")
+
+    boot = run(["bootstrap", "flat.csv"], 0)
+    expected = ["n,swap_rate,discount_factor,annuity"]
+    annuity = 0.0
+    for n in (1, 2, 3):
+        p = 1.05**-n
+        annuity += p
+        expected.append(f"{n},0.05,{format(p, '.12g')},{format(annuity, '.12g')}")
+    if (boot.stdout, boot.stderr) != ("\n".join(expected) + "\n", ""):
+        failures.append(("golden bootstrap", boot))
+
+    run(["par", "flat.csv"], 0)
+    run(["forwards", "flat.csv"], 0)
+    run(["validate", "flat.csv"], 0)
+    run(["scan", "kink.json", "--mode", "all"], 0)
+    run(["butterfly", "kink.json", "--legs", "1,2,3", "--moves", "50,50,120"], 0)
+    run(["pnl", "kink.json", "--legs", "1,2,3", "--shift-bp", "-300:300:150"], 0)
+    run(
+        ["verify", "flat.csv", "--shift-bp", "75", "--trials", "25", "--seed", "42"],
+        0,
+    )
+    run(["bootstrap", "invalid.csv", "--strict"], 1)
+    run(["scan", "kink.json", "--kind", "swap"], 1)
+    run(["bootstrap", "broken.csv"], 2)
+    run(["verify", "flat.csv", "--shift-bp", "10,0,0"], 1)
     report(
         10,
         "CLI commands deterministic with contracted exit codes",

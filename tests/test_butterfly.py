@@ -13,7 +13,6 @@ from curvekit.bootstrap import BootstrapError, bootstrap, shifted_bootstrap, Shi
 from curvekit.butterfly import (
     ArbitrageCandidate,
     Butterfly,
-    NonParallelMove,
     PnlBreakdown,
     nonparallel_safe,
     nonparallel_weights,
@@ -155,6 +154,29 @@ class TestNonparallelWeights:
         with pytest.raises(ValueError):
             nonparallel_weights((0.03, 0.01, 0.01), (1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize(
+        "moves",
+        [
+            (0.0, math.nan, 0.0),
+            (math.nan, 0.01, 0.02),
+            (0.0, 0.01, math.nan),
+            (math.nan,) * 3,
+            (-math.inf, 0.0, math.inf),
+            (0.0, 0.0, math.inf),
+            (-math.inf, 0.0, 0.0),
+            (math.inf,) * 3,
+            (0.0, 1e308, 1e308),
+        ],
+        ids=[
+            "nan-middle", "nan-first", "nan-last", "all-nan",
+            "-inf-to-inf", "inf-last", "-inf-first", "all-inf", "overflowing-sum",
+        ],
+    )
+    def test_non_finite_moves_or_weights_are_refused(self, moves):
+        # No NaN or infinite weight comes back: each guard fails on NaN.
+        with pytest.raises(ValueError, match="moves must satisfy a1\\*T1 < a2\\*T2 < a3\\*T3"):
+            nonparallel_weights(moves, (1.0, 2.0, 3.0))
+
     @given(c=st.floats(0.001, 0.05), t1=st.floats(0.5, 5.0), g=st.floats(0.5, 5.0))
     @settings(max_examples=200)
     def test_common_move_degenerates_to_butterfly_weights(self, c, t1, g):
@@ -203,15 +225,32 @@ class TestNonparallelSafe:
         with pytest.raises(ValueError):
             nonparallel_safe(fly.weights, fly.legs, (0.9, 0.9, 0.9), (0.2, 0.2, 0.2))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((1.0, math.nan, 1.0), "weights must all be positive"),
+            ((math.nan, 2.0, 1.0), "weights must all be positive"),
+            ((1.0, 2.0, math.nan), "weights must all be positive"),
+            ((1.0, -math.inf, 1.0), "weights must all be positive"),
+            ((1.0, math.inf, 1.0), "weights must satisfy w1 \\+ w3 = w2"),
+            ((math.inf, math.inf, 1.0), "weights must satisfy w1 \\+ w3 = w2"),
+            ((1.0, 2.0, math.inf), "weights must satisfy w1 \\+ w3 = w2"),
+            ((math.inf,) * 3, "weights must satisfy w1 \\+ w3 = w2"),
+        ],
+        ids=["nan-w2", "nan-w1", "nan-w3", "-inf-w2", "inf-w2", "inf-w1-w2", "inf-w3", "all-inf"],
+    )
+    def test_non_finite_weights_are_refused(self, weights, message):
+        # A NaN weight used to pass both checks and report binding_margin 0.0.
+        with pytest.raises(ValueError, match=message):
+            nonparallel_safe(weights, (1, 2, 3), (0.02, 0.025, 0.04), (0.01,) * 3)
 
-class TestNonParallelMove:
-    def test_validation(self):
-        move = NonParallelMove((0.01, 0.0, -0.01))
-        assert move.movements == (0.01, 0.0, -0.01)
-        with pytest.raises(ValueError):
-            NonParallelMove((0.01, 0.02))
-        with pytest.raises(ValueError):
-            NonParallelMove((0.01, 0.02, float("inf")))
+    @pytest.mark.parametrize(
+        "moves", [(0.01, math.nan, 0.01), (math.inf, 0.0, 0.0), (0.0, 0.0, -math.inf)]
+    )
+    def test_non_finite_moves_are_refused(self, moves):
+        fly = zero_butterfly(1, 2, 3)
+        with pytest.raises(ValueError, match="outside the supported range"):
+            nonparallel_safe(fly.weights, fly.legs, (0.02, 0.025, 0.04), moves)
 
 
 class TestSwapButterfly:

@@ -14,14 +14,14 @@ import sys
 from random import Random
 
 import pytest
-from click.testing import CliRunner
+from clirun import run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvekit
 from curvekit import cli
 from curvekit.butterfly import SWAP, ZERO_BOND, scan_arbitrage
-from curvekit.cli import _fmt, main
+from curvekit.cli import _fmt
 from curvekit.curves import zeros_from_discounts
 from curvekit.sampling import random_discount_curve, random_swap_curve
 from curvekit.shape import ALL_TRIPLES, CONSECUTIVE
@@ -42,16 +42,10 @@ def fmt(x: float) -> str:
 
 
 def assert_clean_refusal(result, code):
-    assert result.exit_code == code
-    assert isinstance(result.exception, SystemExit)
+    assert result.code == code
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture()
@@ -76,117 +70,126 @@ def zero_kink(tmp_path):
 
 
 class TestBootstrapCommand:
-    def test_flat_golden(self, runner, flat):
-        result = runner.invoke(main, ["bootstrap", flat])
-        assert result.exit_code == 0
+    def test_flat_golden(self, flat):
+        result = run_cli(["bootstrap", flat])
+        assert result.code == 0
         expected = ["n,swap_rate,discount_factor,annuity"]
         annuity = 0.0
         for n in (1, 2, 3):
             p = 1.05**-n
             annuity += p
             expected.append(f"{n},0.05,{fmt(p)},{fmt(annuity)}")
-        assert result.output == "\n".join(expected) + "\n"
+        assert result.stderr == ""
+        assert result.stdout == "\n".join(expected) + "\n"
 
-    def test_bump_shows_higher_second_factor(self, runner, flat, bump):
-        flat_out = runner.invoke(main, ["bootstrap", flat]).output.splitlines()
-        bump_out = runner.invoke(main, ["bootstrap", bump]).output.splitlines()
-        flat_p2 = float(flat_out[2].split(",")[2])
-        bump_p2 = float(bump_out[2].split(",")[2])
+    def test_bump_shows_higher_second_factor(self, flat, bump):
+        flat_run, bump_run = run_cli(["bootstrap", flat]), run_cli(["bootstrap", bump])
+        assert flat_run.stderr == bump_run.stderr == ""
+        flat_p2 = float(flat_run.stdout.splitlines()[2].split(",")[2])
+        bump_p2 = float(bump_run.stdout.splitlines()[2].split(",")[2])
         assert bump_p2 > flat_p2
 
-    def test_malformed_row_exits_2_with_line(self, runner, tmp_path):
+    def test_malformed_row_exits_2_with_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("tenor_years,rate\n1,0.05\n2,oops\n")
-        result = runner.invoke(main, ["bootstrap", str(path)])
-        assert result.exit_code == 2
-        assert "line 3" in result.output + str(result.stderr or "")
+        result = run_cli(["bootstrap", str(path)])
+        assert_clean_refusal(result, 2)
+        assert "line 3" in result.stderr
 
-    def test_strict_exits_1_on_invalid_discounts(self, runner, tmp_path):
+    def test_strict_exits_1_on_invalid_discounts(self, tmp_path):
         path = tmp_path / "inv.csv"
         path.write_text("tenor_years,rate\n1,0.2\n2,0.001\n")
-        assert runner.invoke(main, ["bootstrap", str(path)]).exit_code == 0
-        result = runner.invoke(main, ["bootstrap", str(path), "--strict"])
-        assert result.exit_code == 1
+        assert run_cli(["bootstrap", str(path)]).code == 0
+        result = run_cli(["bootstrap", str(path), "--strict"])
+        assert result.code == 1
 
-    def test_out_writes_file(self, runner, flat, tmp_path):
+    def test_out_writes_file(self, flat, tmp_path):
         target = tmp_path / "table.csv"
-        result = runner.invoke(main, ["bootstrap", flat, "--out", str(target)])
-        assert result.exit_code == 0
-        assert result.output == ""
+        result = run_cli(["bootstrap", flat, "--out", str(target)])
+        assert result.code == 0
+        assert result.stderr == ""
+        assert result.stdout == ""
         assert target.read_text().startswith("n,swap_rate")
 
 
 class TestConversionCommands:
-    def test_par_of_flat_swap_is_identity(self, runner, flat):
-        result = runner.invoke(main, ["par", flat])
-        assert result.exit_code == 0
-        assert result.output == "n,par_rate\n1,0.05\n2,0.05\n3,0.05\n"
+    def test_par_of_flat_swap_is_identity(self, flat):
+        result = run_cli(["par", flat])
+        assert result.code == 0
+        assert result.stderr == ""
+        assert result.stdout == "n,par_rate\n1,0.05\n2,0.05\n3,0.05\n"
 
-    def test_forwards_of_flat(self, runner, flat):
-        result = runner.invoke(main, ["forwards", flat])
-        assert result.exit_code == 0
-        rows = result.output.splitlines()
+    def test_forwards_of_flat(self, flat):
+        result = run_cli(["forwards", flat])
+        assert result.code == 0
+        assert result.stderr == ""
+        rows = result.stdout.splitlines()
         assert rows[0] == "interval_start,forward_rate"
         assert [r.split(",")[0] for r in rows[1:]] == ["0", "1", "2"]
         for row in rows[1:]:
             assert float(row.split(",")[1]) == pytest.approx(0.05, abs=1e-12)
 
-    def test_forwards_golden(self, runner, flat):
-        result = runner.invoke(main, ["forwards", flat])
-        assert result.output == "interval_start,forward_rate\n0,0.05\n1,0.05\n2,0.05\n"
+    def test_forwards_golden(self, flat):
+        result = run_cli(["forwards", flat])
+        assert result.stderr == ""
+        assert result.stdout == "interval_start,forward_rate\n0,0.05\n1,0.05\n2,0.05\n"
 
-    def test_par_of_integer_grid_zero_curve(self, runner, tmp_path):
+    def test_par_of_integer_grid_zero_curve(self, tmp_path):
         # A flat zero curve has the flat rate as its par rate at every tenor.
         path = tmp_path / "zero.json"
         path.write_text(
             '{"curve_type": "zero", "points": [{"t": 1, "r": 0.04},'
             ' {"t": 2, "r": 0.04}, {"t": 3, "r": 0.04}]}'
         )
-        result = runner.invoke(main, ["par", str(path)])
-        assert result.exit_code == 0
-        for row in result.output.splitlines()[1:]:
+        result = run_cli(["par", str(path)])
+        assert result.code == 0
+        assert result.stderr == ""
+        for row in result.stdout.splitlines()[1:]:
             assert float(row.split(",")[1]) == pytest.approx(0.04, abs=1e-12)
 
-    def test_fractional_zero_tenors_cannot_convert(self, runner, tmp_path):
+    def test_fractional_zero_tenors_cannot_convert(self, tmp_path):
         path = tmp_path / "frac.json"
         path.write_text(
             '{"curve_type": "zero", "points": [{"t": 0.5, "r": 0.04},'
             ' {"t": 1.5, "r": 0.04}]}'
         )
-        assert runner.invoke(main, ["par", str(path)]).exit_code == 1
+        assert run_cli(["par", str(path)]).code == 1
 
-    def test_validate_clean_and_broken(self, runner, flat, tmp_path):
-        assert runner.invoke(main, ["validate", flat]).exit_code == 0
+    def test_validate_clean_and_broken(self, flat, tmp_path):
+        assert run_cli(["validate", flat]).code == 0
         path = tmp_path / "broken.json"
         path.write_text(
             '{"curve_type": "discount", "points":'
             ' [{"t": 1, "r": 0.95}, {"t": 2, "r": 0.96}]}'
         )
-        result = runner.invoke(main, ["validate", str(path)])
-        assert result.exit_code == 1
-        assert "2,non_decreasing_discount,0.96" in result.output
+        result = run_cli(["validate", str(path)])
+        assert result.code == 1
+        assert result.stderr == ""
+        assert "2,non_decreasing_discount,0.96" in result.stdout
 
 
 class TestScanCommand:
-    def test_kinked_zero_curve_golden(self, runner, zero_kink):
-        result = runner.invoke(main, ["scan", zero_kink, "--mode", "all"])
-        assert result.exit_code == 0
+    def test_kinked_zero_curve_golden(self, zero_kink):
+        result = run_cli(["scan", zero_kink, "--mode", "all"])
+        assert result.code == 0
         margin = fmt(1 * (0.02 - 0.025) + 1 * (0.04 - 0.025))
-        assert result.output == (
+        assert result.stderr == ""
+        assert result.stdout == (
             "leg1,leg2,leg3,margin,w1,w2,w3\n" f"1,2,3,{margin},1,2,1\n"
         )
 
-    def test_concave_curve_empty_table(self, runner, tmp_path):
+    def test_concave_curve_empty_table(self, tmp_path):
         path = tmp_path / "concave.json"
         path.write_text(
             '{"curve_type": "zero", "points": [{"t": 1, "r": 0.02},'
             ' {"t": 2, "r": 0.03}, {"t": 3, "r": 0.035}]}'
         )
-        result = runner.invoke(main, ["scan", str(path), "--mode", "all"])
-        assert result.exit_code == 0
-        assert result.output == "leg1,leg2,leg3,margin,w1,w2,w3\n"
+        result = run_cli(["scan", str(path), "--mode", "all"])
+        assert result.code == 0
+        assert result.stderr == ""
+        assert result.stdout == "leg1,leg2,leg3,margin,w1,w2,w3\n"
 
-    def test_margins_sorted_descending(self, runner, tmp_path):
+    def test_margins_sorted_descending(self, tmp_path):
         path = tmp_path / "kinks.json"
         points = [
             {"t": 1, "r": 0.02},
@@ -196,9 +199,10 @@ class TestScanCommand:
             {"t": 5, "r": 0.034},
         ]
         path.write_text('{"curve_type": "zero", "points": %s}' % str(points).replace("'", '"'))
-        result = runner.invoke(main, ["scan", str(path), "--mode", "all"])
-        assert result.exit_code == 0
-        margins = [float(r.split(",")[3]) for r in result.output.splitlines()[1:]]
+        result = run_cli(["scan", str(path), "--mode", "all"])
+        assert result.code == 0
+        assert result.stderr == ""
+        margins = [float(r.split(",")[3]) for r in result.stdout.splitlines()[1:]]
         assert margins == sorted(margins, reverse=True)
 
     @pytest.mark.parametrize(
@@ -206,7 +210,7 @@ class TestScanCommand:
         [("zero", "all"), ("swap", "all"), ("zero", "consecutive"), ("swap", "consecutive")],
         ids=["zero", "swap", "zero-consecutive", "swap-consecutive"],
     )
-    def test_all_triples_rows_format_the_library_candidates(self, runner, tmp_path, kind, mode):
+    def test_all_triples_rows_format_the_library_candidates(self, tmp_path, kind, mode):
         scan_mode = ALL_TRIPLES if mode == "all" else CONSECUTIVE
         rng = Random(3)
         if kind == "zero":
@@ -223,102 +227,99 @@ class TestScanCommand:
                 + "".join(f"{n},{r!r}\n" for n, r in enumerate(curve.rates, start=1))
             )
             candidates = scan_arbitrage(curve, SWAP, scan_mode)
-        result = runner.invoke(main, ["scan", str(path), "--kind", kind, "--mode", mode])
-        assert result.exit_code == 0
-        rows = result.output.splitlines()[1:]
+        result = run_cli(["scan", str(path), "--kind", kind, "--mode", mode])
+        assert result.code == 0
+        assert result.stderr == ""
+        rows = result.stdout.splitlines()[1:]
         assert len(rows) == len(candidates) > 0
         for row, c in zip(rows, candidates):
             cells = (*c.legs, c.margin, *c.butterfly.weights)
             assert row == ",".join(_fmt(float(x)) for x in cells)
 
     @pytest.mark.parametrize("mode", ["consecutive", "all"])
-    def test_tied_margins_rank_by_leg_indices(self, runner, tmp_path, mode):
+    def test_tied_margins_rank_by_leg_indices(self, tmp_path, mode):
         # Dyadic yields: margins are exact binary fractions, many equal.
         yields = (1 / 64, 1 / 64, 2 / 64, 2 / 64, 3 / 64, 3 / 64)
         path = tmp_path / "tied.json"
         points = [{"t": t, "r": r} for t, r in enumerate(yields, start=1)]
         path.write_text(json.dumps({"curve_type": "zero", "points": points}))
-        result = runner.invoke(main, ["scan", str(path), "--mode", mode, "--tol", "0"])
-        assert result.exit_code == 0
+        result = run_cli(["scan", str(path), "--mode", mode, "--tol", "0"])
+        assert result.code == 0
+        assert result.stderr == ""
         ranked = [
             (-float(margin), int(l1), int(l2), int(l3))
-            for l1, l2, l3, margin, *_ in (r.split(",") for r in result.output.splitlines()[1:])
+            for l1, l2, l3, margin, *_ in (r.split(",") for r in result.stdout.splitlines()[1:])
         ]
         assert ranked == sorted(ranked)
         assert len({m for m, *_ in ranked}) < len(ranked)  # the curve does tie
 
-    def test_negative_tolerance_is_refused(self, runner, flat):
-        result = runner.invoke(main, ["scan", flat, "--kind", "swap", "--tol", "-1"])
+    def test_negative_tolerance_is_refused(self, flat):
+        result = run_cli(["scan", flat, "--kind", "swap", "--tol", "-1"])
         assert_clean_refusal(result, 1)
         assert result.stderr == "error: classification tolerance must be >= 0, got -1.0\n"
 
-    def test_two_points_exit_1(self, runner, tmp_path):
+    def test_two_points_exit_1(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text("tenor_years,rate\n1,0.05\n2,0.05\n")
-        result = runner.invoke(main, ["scan", str(path), "--kind", "swap"])
-        assert result.exit_code == 1
+        result = run_cli(["scan", str(path), "--kind", "swap"])
+        assert result.code == 1
 
-    def test_invalid_curve_exit_1(self, runner, tmp_path):
+    def test_invalid_curve_exit_1(self, tmp_path):
         path = tmp_path / "inverted.json"
         path.write_text(
             '{"curve_type": "zero", "points": [{"t": 1, "r": 0.05},'
             ' {"t": 2, "r": 0.02}, {"t": 3, "r": 0.02}]}'
         )
-        assert runner.invoke(main, ["scan", str(path)]).exit_code == 1
+        assert run_cli(["scan", str(path)]).code == 1
 
 
 class TestButterflyCommand:
-    def test_zero_weights_golden(self, runner, zero_kink):
-        result = runner.invoke(main, ["butterfly", zero_kink, "--legs", "1,2,3"])
-        assert result.exit_code == 0
-        assert result.output == (
+    def test_zero_weights_golden(self, zero_kink):
+        result = run_cli(["butterfly", zero_kink, "--legs", "1,2,3"])
+        assert result.code == 0
+        assert result.stderr == ""
+        assert result.stdout == (
             "kind,leg1,leg2,leg3,w1,w2,w3\nzero_bond,1,2,3,1,2,1\n"
         )
 
-    def test_swap_weights_include_annuities(self, runner, flat):
-        result = runner.invoke(
-            main, ["butterfly", flat, "--kind", "swap", "--legs", "1,2,3"]
-        )
-        assert result.exit_code == 0
-        rows = result.output.splitlines()
+    def test_swap_weights_include_annuities(self, flat):
+        result = run_cli(["butterfly", flat, "--kind", "swap", "--legs", "1,2,3"])
+        assert result.code == 0
+        assert result.stderr == ""
+        rows = result.stdout.splitlines()
         assert rows[0].endswith("annuity1,annuity2,annuity3")
         fields = rows[1].split(",")
         assert float(fields[4]) == pytest.approx(0.8638376, abs=1e-7)
         assert float(fields[5]) == pytest.approx(1.7708671, abs=1e-7)
         assert float(fields[6]) == pytest.approx(0.9070295, abs=1e-7)
 
-    def test_nonparallel_moves_columns(self, runner, zero_kink):
-        result = runner.invoke(
-            main,
-            ["butterfly", zero_kink, "--legs", "1,2,3", "--moves", "100,100,200"],
-        )
-        assert result.exit_code == 0
-        rows = result.output.splitlines()
+    def test_nonparallel_moves_columns(self, zero_kink):
+        result = run_cli(["butterfly", zero_kink, "--legs", "1,2,3", "--moves", "100,100,200"])
+        assert result.code == 0
+        assert result.stderr == ""
+        rows = result.stdout.splitlines()
         fields = dict(zip(rows[0].split(","), rows[1].split(",")))
         assert float(fields["npw1"]) == pytest.approx(0.04, abs=1e-12)
         assert float(fields["npw2"]) == pytest.approx(0.05, abs=1e-12)
         assert float(fields["npw3"]) == pytest.approx(0.01, abs=1e-12)
 
-    def test_unordered_legs_exit_1(self, runner, zero_kink):
-        result = runner.invoke(main, ["butterfly", zero_kink, "--legs", "3,2,1"])
-        assert result.exit_code == 1
+    def test_unordered_legs_exit_1(self, zero_kink):
+        result = run_cli(["butterfly", zero_kink, "--legs", "3,2,1"])
+        assert result.code == 1
 
 
 class TestPnlCommand:
-    def test_zero_kind_single_zero_row(self, runner, zero_kink):
-        result = runner.invoke(
-            main, ["pnl", zero_kink, "--legs", "1,2,3", "--shift-bp", "0:0:1"]
-        )
-        assert result.exit_code == 0
-        assert result.output == "shift_bp,horizon,value\n0,0,0\n"
+    def test_zero_kind_single_zero_row(self, zero_kink):
+        result = run_cli(["pnl", zero_kink, "--legs", "1,2,3", "--shift-bp", "0:0:1"])
+        assert result.code == 0
+        assert result.stderr == ""
+        assert result.stdout == "shift_bp,horizon,value\n0,0,0\n"
 
-    def test_zero_kind_convex_grid_nonnegative(self, runner, zero_kink):
-        result = runner.invoke(
-            main,
-            ["pnl", zero_kink, "--legs", "1,2,3", "--shift-bp", "-500:500:100"],
-        )
-        assert result.exit_code == 0
-        rows = result.output.splitlines()[1:]
+    def test_zero_kind_convex_grid_nonnegative(self, zero_kink):
+        result = run_cli(["pnl", zero_kink, "--legs", "1,2,3", "--shift-bp", "-500:500:100"])
+        assert result.code == 0
+        assert result.stderr == ""
+        rows = result.stdout.splitlines()[1:]
         assert len(rows) == 11
         for row in rows:
             bp, _, value = row.split(",")
@@ -326,37 +327,24 @@ class TestPnlCommand:
             if float(bp) != 0.0:
                 assert float(value) > 0.0
 
-    def test_zero_kind_value_oracle(self, runner, tmp_path):
+    def test_zero_kind_value_oracle(self, tmp_path):
         path = tmp_path / "affine.json"
         path.write_text(
             '{"curve_type": "zero", "points": [{"t": 1, "r": 0.02},'
             ' {"t": 2, "r": 0.03}, {"t": 3, "r": 0.04}]}'
         )
-        result = runner.invoke(
-            main, ["pnl", str(path), "--legs", "1,2,3", "--shift-bp", "100:100:1"]
-        )
-        value = float(result.output.splitlines()[1].split(",")[2])
+        result = run_cli(["pnl", str(path), "--legs", "1,2,3", "--shift-bp", "100:100:1"])
+        assert result.stderr == ""
+        value = float(result.stdout.splitlines()[1].split(",")[2])
         expected = math.exp(-0.01) + math.exp(-0.03) - 2 * math.exp(-0.02)
         assert value == pytest.approx(expected, abs=1e-12)
 
-    def test_swap_kind_flat_carry_identically_zero(self, runner, flat):
-        result = runner.invoke(
-            main,
-            [
-                "pnl",
-                flat,
-                "--kind",
-                "swap",
-                "--legs",
-                "1,2,3",
-                "--shift-bp",
-                "-100:100:50",
-                "--horizon",
-                "1",
-            ],
-        )
-        assert result.exit_code == 0
-        rows = result.output.splitlines()
+    def test_swap_kind_flat_carry_identically_zero(self, flat):
+        args = ["pnl", flat, "--kind", "swap", "--legs", "1,2,3", "--shift-bp", "-100:100:50"]
+        result = run_cli([*args, "--horizon", "1"])
+        assert result.code == 0
+        assert result.stderr == ""
+        rows = result.stdout.splitlines()
         assert rows[0] == "shift_bp,carry,mark_to_market,total"
         for row in rows[1:]:
             assert row.split(",")[1] == "0"
@@ -376,40 +364,35 @@ class TestPnlCommand:
             ("-100:100:100", ["-100", "0", "100"]),
         ],
     )
-    def test_shift_grid_never_passes_hi(self, runner, flat, grid, shifts):
+    def test_shift_grid_never_passes_hi(self, flat, grid, shifts):
         args = ["pnl", flat, "--kind", "swap", "--legs", "1,2,3", "--shift-bp", grid]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0
-        assert [row.split(",")[0] for row in result.output.splitlines()[1:]] == shifts
+        result = run_cli(args)
+        assert result.code == 0
+        assert result.stderr == ""
+        assert [row.split(",")[0] for row in result.stdout.splitlines()[1:]] == shifts
 
     def test_shift_grid_of_exactly_the_row_cap_is_accepted(self):
         # 100000.5 steps fit 100001 rows, the cap, once the grid stops below hi.
         shifts = cli._parse_shift_range("0:100000.5:1")
         assert len(shifts) == cli.MAX_SHIFT_ROWS and shifts[-1] == 100000.0
 
-    def test_bad_legs_exit_1(self, runner, flat):
-        result = runner.invoke(
-            main,
-            ["pnl", flat, "--kind", "swap", "--legs", "1,2,9", "--shift-bp", "0:0:1"],
-        )
-        assert result.exit_code == 1
+    def test_bad_legs_exit_1(self, flat):
+        result = run_cli(["pnl", flat, "--kind", "swap", "--legs", "1,2,9", "--shift-bp", "0:0:1"])
+        assert result.code == 1
 
-    def test_interpolated_zero_legs(self, runner, zero_kink):
-        result = runner.invoke(
-            main, ["pnl", zero_kink, "--legs", "1,1.5,3", "--shift-bp", "0:0:1"]
-        )
-        assert result.exit_code == 0
-        result = runner.invoke(
-            main, ["pnl", zero_kink, "--legs", "1,2,5", "--shift-bp", "0:0:1"]
-        )
-        assert result.exit_code == 1  # leg beyond the tenor range
+    def test_interpolated_zero_legs(self, zero_kink):
+        result = run_cli(["pnl", zero_kink, "--legs", "1,1.5,3", "--shift-bp", "0:0:1"])
+        assert result.code == 0
+        result = run_cli(["pnl", zero_kink, "--legs", "1,2,5", "--shift-bp", "0:0:1"])
+        assert result.code == 1  # leg beyond the tenor range
 
 
 class TestVerifyCommand:
-    def test_flat_parallel_all_pass_golden(self, runner, flat):
-        result = runner.invoke(main, ["verify", flat, "--shift-bp", "100"])
-        assert result.exit_code == 0
-        assert result.output == (
+    def test_flat_parallel_all_pass_golden(self, flat):
+        result = run_cli(["verify", flat, "--shift-bp", "100"])
+        assert result.code == 0
+        assert result.stderr == ""
+        assert result.stdout == (
             "check,status,first_violation,detail\n"
             "annuity_bound,PASS,,\n"
             "bracket_identity,PASS,,\n"
@@ -419,46 +402,46 @@ class TestVerifyCommand:
             "annuity_triples,PASS,,\n"
         )
 
-    def test_front_bump_reports_year_one_ratio_violation(self, runner, flat):
-        result = runner.invoke(main, ["verify", flat, "--shift-bp", "10,0,0"])
-        assert result.exit_code == 1
+    def test_front_bump_reports_year_one_ratio_violation(self, flat):
+        result = run_cli(["verify", flat, "--shift-bp", "10,0,0"])
+        assert result.code == 1
+        assert result.stderr == ""
         failing = [
-            r for r in result.output.splitlines() if r.startswith("discount_ratio_monotone")
+            r for r in result.stdout.splitlines() if r.startswith("discount_ratio_monotone")
         ]
         assert failing and failing[0].split(",")[1] == "FAIL"
         assert failing[0].split(",")[2] == "1"
 
-    def test_trials_are_deterministic(self, runner, flat):
+    def test_trials_are_deterministic(self, flat):
         args = ["verify", flat, "--shift-bp", "100", "--trials", "40", "--seed", "42"]
-        first = runner.invoke(main, args)
-        second = runner.invoke(main, args)
-        assert first.exit_code == 0
-        assert first.output == second.output
+        first = run_cli(args)
+        assert first.code == 0
+        assert run_cli(args) == first
 
-    def test_uniform_fall_uses_mirrored_directions(self, runner, flat):
+    def test_uniform_fall_uses_mirrored_directions(self, flat):
         for shift in ("-100", "-10,-10,-10"):
-            result = runner.invoke(main, ["verify", flat, "--shift-bp", shift])
-            assert result.exit_code == 0, result.output
+            result = run_cli(["verify", flat, "--shift-bp", shift])
+            assert (result.code, result.stderr) == (0, ""), result
             ratio_row = [
                 r
-                for r in result.output.splitlines()
+                for r in result.stdout.splitlines()
                 if r.startswith("discount_ratio_monotone")
             ][0]
             assert ratio_row.split(",")[1] == "PASS"
 
-    def test_different_seeds_still_pass(self, runner, flat):
+    def test_different_seeds_still_pass(self, flat):
         for seed in (0, 1, 7):
-            result = runner.invoke(
-                main,
-                ["verify", flat, "--shift-bp", "100", "--trials", "10", "--seed", str(seed)],
+            result = run_cli(
+                ["verify", flat, "--shift-bp", "100", "--trials", "10", "--seed", str(seed)]
             )
-            assert result.exit_code == 0
+            assert result.code == 0
 
-    def test_falling_per_tenor_shift_skips_the_parallel_checks(self, runner, flat):
+    def test_falling_per_tenor_shift_skips_the_parallel_checks(self, flat):
         # A value that starts with a dash is the option's value, not an option.
-        result = runner.invoke(main, ["verify", flat, "--shift-bp", "-10,-20,-30"])
-        assert result.exit_code == 0
-        assert result.output == (
+        result = run_cli(["verify", flat, "--shift-bp", "-10,-20,-30"])
+        assert result.code == 0
+        assert result.stderr == ""
+        assert result.stdout == (
             "check,status,first_violation,detail\n"
             "annuity_bound,PASS,,\n"
             "bracket_identity,SKIP,,shift scenario outside this check's hypothesis\n"
@@ -468,10 +451,10 @@ class TestVerifyCommand:
             "annuity_triples,PASS,,\n"
         )
 
-    def test_invalid_input_curve_exit_1(self, runner, tmp_path):
+    def test_invalid_input_curve_exit_1(self, tmp_path):
         path = tmp_path / "inv.csv"
         path.write_text("tenor_years,rate\n1,0.2\n2,0.001\n")
-        assert runner.invoke(main, ["verify", str(path)]).exit_code == 1
+        assert run_cli(["verify", str(path)]).code == 1
 
     @staticmethod
     def swap_file(tmp_path, rates):
@@ -484,7 +467,7 @@ class TestVerifyCommand:
     def row(output, name):
         return next(r for r in output.splitlines() if r.startswith(name + ","))
 
-    def test_tolerance_edge_decided_by_consecutive_triples(self, runner, tmp_path):
+    def test_tolerance_edge_decided_by_consecutive_triples(self, tmp_path):
         # The per-tenor shift that takes a flat 5% 20-year curve to factors
         # p[n] * (0.99 + 5e-11 * n): consecutive annuity-point margins stay
         # near 4e-11, wide ones such as (1, 2, 10) reach 1.1e-9.
@@ -496,20 +479,20 @@ class TestVerifyCommand:
             bps.append(((1.0 - p) / annuity - 0.05) / 1e-4)
         assert min(bps) > 0
         path = self.swap_file(tmp_path, (0.05,) * 20)
-        result = runner.invoke(
-            main, ["verify", path, "--shift-bp", ",".join(map(repr, bps))]
-        )
-        assert result.exit_code == 1
-        assert self.row(result.output, "annuity_triples") == "annuity_triples,PASS,,"
-        ratio = self.row(result.output, "discount_ratio_monotone").split(",")
+        result = run_cli(["verify", path, "--shift-bp", ",".join(map(repr, bps))])
+        assert result.code == 1
+        assert result.stderr == ""
+        assert self.row(result.stdout, "annuity_triples") == "annuity_triples,PASS,,"
+        ratio = self.row(result.stdout, "discount_ratio_monotone").split(",")
         assert ratio[1:3] == ["FAIL", "1"]
 
-    def test_failing_triple_row_names_a_consecutive_triple(self, runner, tmp_path):
+    def test_failing_triple_row_names_a_consecutive_triple(self, tmp_path):
         path = self.swap_file(tmp_path, (0.05,) * 10)
         shift = ",".join(["100"] * 5 + ["40"] + ["100"] * 4)
-        result = runner.invoke(main, ["verify", path, "--shift-bp", shift])
-        assert result.exit_code == 1
-        fields = self.row(result.output, "annuity_triples").split(",", 3)
+        result = run_cli(["verify", path, "--shift-bp", shift])
+        assert result.code == 1
+        assert result.stderr == ""
+        fields = self.row(result.stdout, "annuity_triples").split(",", 3)
         assert fields[1:3] == ["FAIL", "4"]
         assert fields[3].startswith("base: triple (4, 5, 6) classifies convex")
 
@@ -527,8 +510,8 @@ class TestHostileFlags:
             ["pnl", "{flat}", "--kind", "swap", "--legs", "1,2,inf", "--shift-bp", "0:0:1"],
         ],
     )
-    def test_non_finite_flag_is_a_clean_refusal(self, runner, flat, args):
-        result = runner.invoke(main, [a.format(flat=flat) for a in args])
+    def test_non_finite_flag_is_a_clean_refusal(self, flat, args):
+        result = run_cli([a.format(flat=flat) for a in args])
         assert_clean_refusal(result, 1)
 
     @pytest.mark.parametrize(
@@ -543,26 +526,26 @@ class TestHostileFlags:
         ids=["validate-negative-tol", "verify-negative-trials"],
     )
     def test_negative_tolerance_or_trial_count_is_refused(
-        self, runner, flat, tmp_path, args, message
+        self, flat, tmp_path, args, message
     ):
         # Both used to exit 0: validate printing only its header on a curve
         # with a zero factor, verify running no trials.
         discount = tmp_path / "discount.csv"
         discount.write_text("tenor_years,rate\n1,0.9\n2,0.95\n3,0.0\n")
         fields = {"flat": flat, "discount": str(discount)}
-        result = runner.invoke(main, [a.format(**fields) for a in args])
+        result = run_cli([a.format(**fields) for a in args])
         assert_clean_refusal(result, 1)
         assert result.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("trials", ["100001", "1000000000", str(10**30)])
-    def test_trial_count_beyond_the_cap_is_refused(self, runner, flat, trials, monkeypatch):
+    def test_trial_count_beyond_the_cap_is_refused(self, flat, trials, monkeypatch):
         # Refused before any trial runs: the seeded perturbation is never drawn.
         monkeypatch.setattr(cli, "perturb_swap_curve", None)
-        result = runner.invoke(main, ["verify", flat, "--trials", trials])
+        result = run_cli(["verify", flat, "--trials", trials])
         assert_clean_refusal(result, 1)
         assert result.stderr == "error: --trials exceeds the cap of 100000\n"
 
-    def test_trial_count_at_the_cap_is_accepted(self, runner, flat, monkeypatch):
+    def test_trial_count_at_the_cap_is_accepted(self, flat, monkeypatch):
         # Stop after the first trial: the point is only that the cap admits itself.
         class Enough(Exception):
             pass
@@ -571,20 +554,20 @@ class TestHostileFlags:
             raise Enough
 
         monkeypatch.setattr(cli, "perturb_swap_curve", first_trial_only)
-        result = runner.invoke(main, ["verify", flat, "--trials", str(cli.MAX_TRIALS)])
-        assert isinstance(result.exception, Enough)
+        with pytest.raises(Enough):
+            run_cli(["verify", flat, "--trials", str(cli.MAX_TRIALS)])
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc/self/mem")
-    def test_unreadable_curve_file_exits_2(self, runner):
+    def test_unreadable_curve_file_exits_2(self):
         # The file exists and opens, but reading it fails with EIO.
-        result = runner.invoke(main, ["bootstrap", "/proc/self/mem"])
+        result = run_cli(["bootstrap", "/proc/self/mem"])
         assert_clean_refusal(result, 2)
         assert result.stderr == "error: cannot read /proc/self/mem: Input/output error\n"
 
     @pytest.mark.parametrize("grid", ["0:1e300:1e290", "0:100001:1", "0:1:1e-300"])
-    def test_shift_grid_beyond_the_row_cap_is_refused(self, runner, flat, grid):
+    def test_shift_grid_beyond_the_row_cap_is_refused(self, flat, grid):
         args = ["pnl", flat, "--kind", "swap", "--legs", "1,2,3", "--shift-bp", grid]
-        result = runner.invoke(main, args)
+        result = run_cli(args)
         assert_clean_refusal(result, 1)
         assert "exceeds 100001 rows" in result.stderr
 
@@ -699,11 +682,11 @@ class TestHostileFlags:
             "json-nesting-beyond-recursion-limit",
         ],
     )
-    def test_file_and_arithmetic_failures(self, runner, tmp_path, text, args, code, message):
+    def test_file_and_arithmetic_failures(self, tmp_path, text, args, code, message):
         path = tmp_path / "curve.txt"
         path.write_bytes(text)
         fields = {"path": str(path), "missing": str(tmp_path / "missing"), "dir": str(tmp_path)}
-        result = runner.invoke(main, [a.format(**fields) for a in args])
+        result = run_cli([a.format(**fields) for a in args])
         assert_clean_refusal(result, code)
         assert result.stderr == f"error: {message.format(**fields)}\n"
 
@@ -720,13 +703,13 @@ class TestHostileFlags:
             ("verify", []),
         ],
     )
-    def test_every_command_refuses_files_alike(self, runner, flat, tmp_path, command, flags):
+    def test_every_command_refuses_files_alike(self, flat, tmp_path, command, flags):
         # The curve reader and the table writer own the file checks for every command.
         missing = str(tmp_path / "missing.csv")
-        result = runner.invoke(main, [command, missing, *flags])
+        result = run_cli([command, missing, *flags])
         assert_clean_refusal(result, 2)
         assert result.stderr == f"error: cannot read {missing}: No such file or directory\n"
-        result = runner.invoke(main, [command, flat, *flags, "--out", str(tmp_path)])
+        result = run_cli([command, flat, *flags, "--out", str(tmp_path)])
         assert_clean_refusal(result, 1)
         assert result.stderr == f"error: cannot write {tmp_path}: Is a directory\n"
 
@@ -737,11 +720,26 @@ class TestHostileFlags:
             ["pnl", "{flat}", "--legs", "1,2,3", "--shift", "0:0:1"],
         ],
     )
-    def test_abbreviated_option_is_a_usage_error(self, runner, flat, args):
-        result = runner.invoke(main, [a.format(flat=flat) for a in args])
-        assert result.exit_code == 2 and result.stdout == ""
-        # argparse names the first refusal: the unknown --shift, or pnl's missing --shift-bp.
-        assert result.stderr.startswith("usage: ") and ": error: " in result.stderr
+    def test_abbreviated_option_is_a_usage_error(self, flat, args):
+        result = run_cli([a.format(flat=flat) for a in args])
+        assert result.code == 2 and result.stdout == ""
+        # The command's own parser reports the refusal. It checks required options
+        # first, so pnl names its missing --shift-bp rather than the unknown --shift.
+        command = args[0]
+        reason = {
+            "verify": "unrecognized arguments: --shift 10",
+            "pnl": "the following arguments are required: --shift-bp",
+        }[command]
+        assert result.stderr.startswith(f"usage: curvekit {command} ")
+        assert result.stderr.endswith(f"\ncurvekit {command}: error: {reason}\n")
+
+    def test_unknown_option_before_the_command_is_a_top_level_usage_error(self, flat):
+        result = run_cli(["--foo", "verify", flat])
+        assert result.code == 2 and result.stdout == ""
+        assert result.stderr == (
+            "usage: curvekit [--help] COMMAND ...\n"
+            "curvekit: error: unrecognized arguments: --foo\n"
+        )
 
     @pytest.mark.parametrize(
         "args, text",
@@ -754,11 +752,11 @@ class TestHostileFlags:
             ),
         ],
     )
-    def test_off_grid_file_exits_2(self, runner, tmp_path, args, text):
+    def test_off_grid_file_exits_2(self, tmp_path, args, text):
         path = tmp_path / "offgrid.txt"
         path.write_text(text)
-        result = runner.invoke(main, args + [str(path)])
-        assert result.exit_code == 2
+        result = run_cli(args + [str(path)])
+        assert result.code == 2
         assert "tenors must be the consecutive integers 1..N" in result.stderr
 
 
@@ -824,18 +822,18 @@ class TestCliProperty:
             pool = sane if flag in CHOICE_FLAGS else HOSTILE + sane
             value = data.draw(st.none() | st.sampled_from(pool))
             args += [] if value is None else [flag, value]
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code in (0, 1, 2), args
-        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        result = run_cli(args)
+        # run_cli lets any exception but SystemExit reach the test.
+        assert result.code in (0, 1, 2), args
         lines = result.stderr.splitlines()
         # validate and verify report findings on stdout and exit 1 silently.
         finding = command in ("validate", "verify") and not lines
-        if result.exit_code == 1 and not finding:
+        if result.code == 1 and not finding:
             assert len(lines) == 1 and lines[0].startswith("error: "), (args, lines)
 
 
 class TestDeterminismAcrossCommands:
-    def test_repeated_runs_byte_identical(self, runner, flat, bump, zero_kink):
+    def test_repeated_runs_byte_identical(self, flat, bump, zero_kink):
         invocations = [
             ["bootstrap", flat],
             ["bootstrap", bump],
@@ -848,10 +846,7 @@ class TestDeterminismAcrossCommands:
             ["verify", flat, "--shift-bp", "25", "--trials", "15", "--seed", "9"],
         ]
         for args in invocations:
-            first = runner.invoke(main, args)
-            second = runner.invoke(main, args)
-            assert first.output == second.output, args
-            assert first.exit_code == second.exit_code, args
+            assert run_cli(args) == run_cli(args), args
 
 
 def _child_env() -> dict:
@@ -861,28 +856,9 @@ def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=path)
 
 
-def test_cli_import_adds_no_dataclasses_or_json():
-    # Start-up is most of a short command, so importing the CLI must not load
-    # these two modules, which click itself does not load.
-    code = (
-        "import sys, click; before = set(sys.modules); import curvekit.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=_child_env(),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    added = set(result.stdout.split())
-    assert "curvekit.cli" in added
-    assert not added & {"dataclasses", "json"}
-
-
 def test_cli_import_loads_no_click_json_or_numpy():
-    # The command line is parsed by the standard library; no heavy import
-    # sits on the path of every command.
+    # Start-up is most of a short command: the command line is parsed by the
+    # standard library, and no heavy import sits on the path of every command.
     code = "import sys, curvekit.cli; print(' '.join(sorted(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -893,7 +869,7 @@ def test_cli_import_loads_no_click_json_or_numpy():
     )
     loaded = set(result.stdout.split())
     assert "curvekit.cli" in loaded
-    assert not loaded & {"click", "json", "numpy"}
+    assert not loaded & {"click", "json", "numpy", "dataclasses"}
 
 
 class TestProcessEntry:
@@ -930,8 +906,8 @@ class TestProcessEntry:
         path = tmp_path / "curve.csv"
         path.write_text(text)
         child = self.spawn("-m", "curvekit.cli", command, str(path))
-        in_process = CliRunner().invoke(main, [command, str(path)])
-        assert child.returncode == in_process.exit_code == code
+        in_process = run_cli([command, str(path)])
+        assert child.returncode == in_process.code == code
         assert child.stdout == in_process.stdout
         assert child.stderr == in_process.stderr
 
@@ -947,7 +923,7 @@ class TestProcessEntry:
         out = tmp_path / "pnl.csv"
         child = self.spawn("-m", "curvekit.cli", *args, "--out", str(out))
         assert child.returncode == 0 and child.stdout == ""
-        assert out.read_text() == CliRunner().invoke(main, args).stdout
+        assert out.read_text() == run_cli(args).stdout
 
     def test_atexit_handlers_run_once(self, flat):
         code = (

@@ -15,16 +15,13 @@ deliberate change of output, rewrite them with
 and review the diff of ``cli_transcript.json`` case by case.
 """
 
-import contextlib
-import io
 import json
 import os
 import pathlib
 import sys
 
 import pytest
-
-from curvekit import cli
+from clirun import run_cli
 
 TABLE = pathlib.Path(__file__).with_name("cli_transcript.json")
 
@@ -51,16 +48,10 @@ def run_case(argv: list[str], root: pathlib.Path) -> tuple[int, str, str, dict[s
     """Exit code, stdout, stderr and the files written of one in-process run."""
     for name, data in FILES.items():
         (root / name).write_bytes(data)
-    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(root)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                cli.main(list(argv), prog_name="curvekit")
-                code = 0
-            except SystemExit as exc:
-                code = 0 if exc.code is None else exc.code
+        code, out, err = run_cli(argv)
     finally:
         os.chdir(cwd)
     written = {
@@ -68,7 +59,7 @@ def run_case(argv: list[str], root: pathlib.Path) -> tuple[int, str, str, dict[s
         for p in sorted(root.iterdir())
         if p.is_file() and p.name not in FILES
     }
-    return code, out.getvalue(), err.getvalue(), written
+    return code, out, err, written
 
 
 def stderr_shape(err: str) -> str:
@@ -79,9 +70,8 @@ def stderr_shape(err: str) -> str:
     lines = err.splitlines()
     if len(lines) == 1 and lines[0].startswith("error: "):
         return "error"
-    # A refused command line: click ends its message with "Error: <reason>",
-    # argparse with "<prog>: error: <reason>", most often after a usage line.
-    if lines[-1].startswith("Error: ") or ": error: " in lines[-1]:
+    # A refused command line: "<prog>: error: <reason>", most often after a usage line.
+    if ": error: " in lines[-1]:
         return "usage"
     return "other"
 

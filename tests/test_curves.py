@@ -14,7 +14,6 @@ from curvekit.bootstrap import LimitReport, ShiftScenario, bootstrap
 from curvekit.butterfly import (
     ArbitrageCandidate,
     Butterfly,
-    NonParallelMove,
     PnlBreakdown,
     SafetyCheck,
     scan_arbitrage,
@@ -519,11 +518,6 @@ RECORDS = {
         lambda: PnlBreakdown(0.25, 0.5, 0.75, (1.0, 2.0, 4.0)),
         "PnlBreakdown(carry=0.25, mark_to_market=0.5, total=0.75,"
         " remaining_annuities=(1.0, 2.0, 3.0))",
-    ),
-    "NonParallelMove": (
-        lambda: NonParallelMove((0.01, 0.02, 0.03)),
-        lambda: NonParallelMove((0.01, 0.02, 0.04)),
-        "NonParallelMove(movements=(0.01, 0.02, 0.03))",
     ),
     "SafetyCheck": (
         lambda: SafetyCheck(True, 0.5, 0.25, 0.25),
