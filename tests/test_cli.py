@@ -856,6 +856,25 @@ def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=path)
 
 
+def test_cli_import_adds_no_dataclasses_or_json():
+    # Start-up is most of a short command, so importing the CLI must not load
+    # these two modules on top of what the interpreter itself starts with.
+    code = (
+        "import sys; before = set(sys.modules); import curvekit.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = set(result.stdout.split())
+    assert "curvekit.cli" in added
+    assert not added & {"dataclasses", "json"}
+
+
 def test_cli_import_loads_no_click_json_or_numpy():
     # Start-up is most of a short command: the command line is parsed by the
     # standard library, and no heavy import sits on the path of every command.
