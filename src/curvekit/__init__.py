@@ -6,11 +6,10 @@ checks, convexity classification of curve triples, and zero-cost
 butterfly construction with shift P&L and arbitrage scans.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .bootstrap import (
     BootstrapError,
-    LimitReport,
     ShiftScenario,
     apply_shift,
     bootstrap,
@@ -21,7 +20,6 @@ from .bootstrap import (
     shift_response,
     shifted_bootstrap,
     swap_rates_from_discounts,
-    tail_diagnostics,
 )
 from .butterfly import (
     ArbitrageCandidate,
@@ -71,7 +69,6 @@ __all__ = [
     "CurveFileError",
     "DiscountCurve",
     "ForwardCurve",
-    "LimitReport",
     "PnlBreakdown",
     "SafetyCheck",
     "ShapeReport",
@@ -103,7 +100,6 @@ __all__ = [
     "swap_butterfly",
     "swap_butterfly_pnl",
     "swap_rates_from_discounts",
-    "tail_diagnostics",
     "validate",
     "zero_butterfly",
     "zero_butterfly_pnl",

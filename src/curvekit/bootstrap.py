@@ -97,25 +97,6 @@ class ShiftScenario(_Record):
         return self.amounts
 
 
-class LimitReport(_Record):
-    """Long-tenor behaviour of a swap curve, observed on a finite grid.
-
-    ``x_inf_estimate`` is the last-tenor swap rate; ``converged`` says the
-    final rate increment is below tolerance; ``p_tail`` is the last
-    bootstrapped discount factor and ``p_tail_vanishing`` whether the tail
-    looks consistent with discount factors running off to zero (small and
-    strictly decreasing over the last quartile of the grid).
-    """
-
-    def __init__(
-        self, x_inf_estimate: float, converged: bool, p_tail: float, p_tail_vanishing: bool
-    ) -> None:
-        object.__setattr__(self, "x_inf_estimate", x_inf_estimate)
-        object.__setattr__(self, "converged", converged)
-        object.__setattr__(self, "p_tail", p_tail)
-        object.__setattr__(self, "p_tail_vanishing", p_tail_vanishing)
-
-
 def bootstrap(swaps: SwapCurve, *, strict: bool = False) -> DiscountCurve:
     """Discount factors implied by par swap rates.
 
@@ -170,10 +151,8 @@ def apply_shift(swaps: SwapCurve, shift: ShiftScenario) -> SwapCurve:
     return SwapCurve(tuple(x + a for x, a in zip(swaps.rates, amounts)))
 
 
-def shifted_bootstrap(
-    swaps: SwapCurve, shift: ShiftScenario, *, strict: bool = False
-) -> DiscountCurve:
-    """Bootstrap of the shifted swap curve.
+def shifted_bootstrap(swaps: SwapCurve, shift: ShiftScenario) -> DiscountCurve:
+    """Lenient bootstrap of the shifted swap curve.
 
     Same factors and refusals as ``bootstrap(apply_shift(swaps, shift))``,
     without building the intermediate curve: the sum of finite rates and
@@ -181,37 +160,7 @@ def shifted_bootstrap(
     """
     rates = tuple(map(operator.add, swaps.rates, shift.amounts_for(len(swaps))))
     _check_rate_range(rates, "rates")
-    return _bootstrap_rates(rates, strict)
-
-
-def tail_diagnostics(
-    swaps: SwapCurve,
-    tolerance: float = 1e-6,
-    vanish_threshold: float = 0.05,
-) -> LimitReport:
-    """Finite-grid diagnostics of the curve's long-tenor limit behaviour.
-
-    A desk-scale grid cannot observe a true limit, so this reports
-    checkable proxies: the final swap rate as the limit estimate,
-    convergence of the last rate increment against ``tolerance``, and
-    whether the discount tail is both below ``vanish_threshold`` and
-    strictly decreasing over the last quartile of the grid.
-    """
-    if len(swaps) < 2:
-        raise ValueError("tail diagnostics need at least two tenors")
-    rates = swaps.rates
-    curve = bootstrap(swaps)
-    converged = abs(rates[-1] - rates[-2]) <= tolerance
-    span = max(2, math.ceil(len(swaps) / 4))
-    tail = curve.factors[-span:]
-    decreasing = all(a > b for a, b in zip(tail, tail[1:]))
-    p_tail = curve.factors[-1]
-    return LimitReport(
-        x_inf_estimate=rates[-1],
-        converged=converged,
-        p_tail=p_tail,
-        p_tail_vanishing=(p_tail < vanish_threshold) and decreasing,
-    )
+    return _bootstrap_rates(rates, False)
 
 
 def shift_response(

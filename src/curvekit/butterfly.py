@@ -259,7 +259,7 @@ def swap_butterfly_pnl(
     # zero on a flat curve and bit-identical to the classification margin
     # of the (annuity, rate) triple.
     carry = horizon * (w1 * (x[n - 1] - x[m - 1]) + w3 * (x[k - 1] - x[m - 1]))
-    # A strict parallel shifted_bootstrap's checks and annuities, building no curve.
+    # The checks and annuities of a strict bootstrap of the shifted rates, building no curve.
     amount = float(shift)
     if not math.isfinite(amount):
         raise ValueError("shift amount must be finite")

@@ -162,12 +162,13 @@ def read_curve_file(path: str, default_type: str | None = None) -> CurveFile:
     """Read a curve file, sniffing JSON objects by their leading brace.
 
     ``default_type`` supplies the curve type for delimited files; a JSON
-    file carries its own and ignores the default.  A path that cannot be
-    opened or read raises :class:`CurveFileError`, as malformed text does.
+    file carries its own and ignores the default.  One leading UTF-8
+    byte-order mark is ignored.  A path that cannot be opened or read
+    raises :class:`CurveFileError`, as malformed text does.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")  # a spreadsheet's byte-order mark
     except UnicodeDecodeError as exc:
         raise CurveFileError(f"not UTF-8 text at byte {exc.start}") from None
     except OSError as exc:

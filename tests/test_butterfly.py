@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvekit.bootstrap import BootstrapError, bootstrap, shifted_bootstrap, ShiftScenario
+from curvekit.bootstrap import (
+    BootstrapError,
+    ShiftScenario,
+    apply_shift,
+    bootstrap,
+    shifted_bootstrap,
+)
 from curvekit.butterfly import (
     ArbitrageCandidate,
     Butterfly,
@@ -379,12 +385,12 @@ class TestSwapButterflyPnl:
 
 
 def reference_swap_pnl(fly, swaps, shift, horizon):
-    """The P&L through the public scenario, shifted bootstrap and curve."""
+    """The P&L through the public scenario, shifted curve and strict bootstrap."""
     n, m, k = fly.legs
     w1, w2, w3 = fly.weights
     x = swaps.rates
     carry = horizon * (w1 * (x[n - 1] - x[m - 1]) + w3 * (x[k - 1] - x[m - 1]))
-    shifted = shifted_bootstrap(swaps, ShiftScenario.parallel(shift), strict=True)
+    shifted = bootstrap(apply_shift(swaps, ShiftScenario.parallel(shift)), strict=True)
     elapsed = horizon * shifted.factors[0]
     remaining = tuple(shifted.annuities[i - 1] - elapsed for i in (n, m, k))
     mark = -shift * w1 * remaining[0] - shift * w3 * remaining[2] + shift * w2 * remaining[1]
@@ -408,7 +414,7 @@ PNL_SHIFTS = tuple(bp * 1e-4 for bp in range(-50, 51, 10))
 
 class TestSwapButterflyPnlPinning:
     # The P&L reads the strict recursion's annuities directly; the reference
-    # goes through the public scenario, shifted bootstrap and curve.
+    # goes through the public scenario, shifted curve and strict bootstrap.
     @pytest.mark.parametrize("n", [3, 20, 100, 1000])
     def test_matches_the_shifted_bootstrap_formula(self, n):
         # At n=1000 only low forwards keep the base curve valid, and every

@@ -581,6 +581,12 @@ class TestHostileFlags:
                 "not UTF-8 text at byte 23",
             ),
             (
+                b"\xef\xbb\xbftenor_years,rate\n1,0.02\xff",  # counted from the file start
+                ["bootstrap", "{path}"],
+                2,
+                "not UTF-8 text at byte 26",
+            ),
+            (
                 FLAT_CSV.encode(),
                 ["bootstrap", "{path}", "--out", "{missing}/table.csv"],
                 1,
@@ -666,6 +672,7 @@ class TestHostileFlags:
         ],
         ids=[
             "non-utf8-file",
+            "non-utf8-file-after-byte-order-mark",
             "out-into-missing-dir",
             "out-into-directory",
             "missing-file",
@@ -758,6 +765,25 @@ class TestHostileFlags:
         result = run_cli(args + [str(path)])
         assert result.code == 2
         assert "tenors must be the consecutive integers 1..N" in result.stderr
+
+    @pytest.mark.parametrize(
+        "name, text, args",
+        [
+            ("flat.csv", FLAT_CSV, ["bootstrap"]),
+            ("invalid.csv", INVALID_CSV, ["validate"]),
+            ("kink.json", ZERO_KINK_JSON, ["scan"]),
+        ],
+        ids=["csv-bootstrap", "csv-validate", "json-scan"],
+    )
+    def test_byte_order_mark_is_ignored(self, tmp_path, name, text, args):
+        # Spreadsheets save "CSV UTF-8" with a leading byte-order mark.
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        want = run_cli([args[0], str(plain), *args[1:]])
+        got = run_cli([args[0], str(marked), *args[1:]])
+        assert got == want and got.stdout
 
 
 # Flag values for the CLI property: hostile strings every free-form flag may

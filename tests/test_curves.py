@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvekit import curves
-from curvekit.bootstrap import LimitReport, ShiftScenario, bootstrap
+from curvekit.bootstrap import ShiftScenario, bootstrap
 from curvekit.butterfly import (
     ArbitrageCandidate,
     Butterfly,
@@ -491,11 +491,6 @@ RECORDS = {
         lambda: ShiftScenario.parallel(0.01),
         lambda: ShiftScenario.per_tenor((0.01,)),
         "ShiftScenario(kind='parallel', amount=0.01, amounts=None)",
-    ),
-    "LimitReport": (
-        lambda: LimitReport(0.05, True, 0.5, False),
-        lambda: LimitReport(0.05, True, 0.5, True),
-        "LimitReport(x_inf_estimate=0.05, converged=True, p_tail=0.5, p_tail_vanishing=False)",
     ),
     "TripleClassification": (
         lambda: TripleClassification("convex", 0.25),

@@ -131,3 +131,12 @@ class TestReadCurveFile:
         # Windows); either way the reader names the path and the OS reason.
         with pytest.raises(CurveFileError, match=f"^cannot read {re.escape(str(tmp_path))}: \\w"):
             read_curve_file(str(tmp_path), "swap")
+
+    def test_one_leading_byte_order_mark_is_ignored(self, tmp_path):
+        text = "tenor_years,rate\n1,0.05\n"
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_curve_file(str(path), "swap") == parse_delimited(text, "swap")
+        path.write_bytes(b"\xef\xbb\xbf" * 2 + text.encode())
+        with pytest.raises(CurveFileError, match="^line 1: expected header"):
+            read_curve_file(str(path), "swap")
