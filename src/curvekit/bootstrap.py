@@ -56,6 +56,8 @@ class BootstrapError(ValueError):
 class ShiftScenario(_Record):
     """Additive shift of a swap curve: one amount, or one per tenor."""
 
+    __slots__ = ("kind", "amount", "amounts")
+
     def __init__(
         self, kind: str, amount: float | None = None, amounts: tuple[float, ...] | None = None
     ) -> None:
@@ -83,7 +85,7 @@ class ShiftScenario(_Record):
 
     @classmethod
     def per_tenor(cls, amounts) -> "ShiftScenario":
-        return cls(PER_TENOR, amounts=tuple(float(a) for a in amounts))
+        return cls(PER_TENOR, amounts=amounts)
 
     def amounts_for(self, n: int) -> tuple[float, ...]:
         """The per-tenor amounts for a curve of length n."""

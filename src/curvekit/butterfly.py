@@ -41,6 +41,8 @@ class Butterfly(_Record):
     that produced the weights are kept alongside.
     """
 
+    __slots__ = ("kind", "legs", "weights", "base_annuities")
+
     def __init__(
         self, kind: str, legs: tuple, weights: Triple, base_annuities: Triple | None = None
     ) -> None:
@@ -62,6 +64,8 @@ class PnlBreakdown(_Record):
     net of the elapsed share of the first payment, in leg order.
     """
 
+    __slots__ = ("carry", "mark_to_market", "total", "remaining_annuities")
+
     def __init__(
         self, carry: float, mark_to_market: float, total: float, remaining_annuities: Triple
     ) -> None:
@@ -80,6 +84,8 @@ class SafetyCheck(_Record):
     The check passes only when both are non-negative (to tolerance) and
     ``binding_margin`` is the smaller of the two.
     """
+
+    __slots__ = ("passed", "shifted_yield_margin", "instantaneous_margin", "binding_margin")
 
     def __init__(
         self,
@@ -101,6 +107,8 @@ class ArbitrageCandidate(_Record):
     repeats the butterfly's legs (maturities or grid years); ``margin``
     is the convexity margin the ranking sorts on, largest first.
     """
+
+    __slots__ = ("indices", "legs", "margin", "butterfly")
 
     def __init__(
         self, indices: tuple[int, int, int], legs: tuple, margin: float, butterfly: Butterfly

@@ -73,8 +73,11 @@ def _check_rate_range(rates: tuple[float, ...], what: str) -> None:
 class _Record:
     """Immutable value record: its fields are its ``__init__`` parameters, which
     equality, hashing and the repr use in order; assignment and deletion raise.
-    ``__init__`` sets fields with ``object.__setattr__``: touching ``__dict__``
-    would give the instance a dict of its own, twice the memory."""
+    Each subclass declares its ``__slots__``, so no record has an instance dict,
+    and ``__init__`` sets them with ``object.__setattr__``.  Copies and pickles
+    rebuild a record through its constructor from its fields."""
+
+    __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         code = cls.__init__.__code__
@@ -99,12 +102,17 @@ class _Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
 
 class ZeroCurve(_Record):
     """Zero-coupon yields at strictly increasing positive tenors (years).
 
     Tenors are real-valued; they need not sit on the integer grid.
     """
+
+    __slots__ = ("tenors", "yields")
 
     def __init__(self, tenors: tuple[float, ...], yields: tuple[float, ...]) -> None:
         tenors = _as_floats(tenors, "tenors")
@@ -153,6 +161,8 @@ class SwapCurve(_Record):
     annual swap (equivalently the n-year par bond) at par.
     """
 
+    __slots__ = ("rates",)
+
     def __init__(self, rates: tuple[float, ...]) -> None:
         rates = _as_floats(rates, "rates")
         _check_rate_range(rates, "rates")
@@ -171,6 +181,8 @@ class DiscountCurve(_Record):
     left-to-right pass so results are deterministic.  Only the factors
     take part in equality, hashing and the repr.
     """
+
+    __slots__ = ("factors", "annuities")
 
     def __init__(self, factors: tuple[float, ...]) -> None:
         factors = _as_floats(factors, "factors")
@@ -202,6 +214,8 @@ class ForwardCurve(_Record):
     diagnostics.
     """
 
+    __slots__ = ("forwards",)
+
     def __init__(self, forwards: tuple[float, ...]) -> None:
         object.__setattr__(self, "forwards", _as_floats(forwards, "forwards"))
 
@@ -212,6 +226,8 @@ class ForwardCurve(_Record):
 class Violation(_Record):
     """One validation finding: a 1-based index, a kind tag and the value."""
 
+    __slots__ = ("index", "kind", "value")
+
     def __init__(self, index: int, kind: str, value: float) -> None:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "kind", kind)
@@ -219,6 +235,8 @@ class Violation(_Record):
 
 
 class ValidationReport(_Record):
+    __slots__ = ("ok", "violations")
+
     def __init__(self, ok: bool, violations: tuple[Violation, ...]) -> None:
         if ok != (len(violations) == 0):
             raise ValueError("ok must mirror the absence of violations")
@@ -237,6 +255,8 @@ class CheckResult(_Record):
     ``first_violation`` is the 1-based grid index of the first failing
     position, or None on pass.  ``detail`` is a short human-readable note.
     """
+
+    __slots__ = ("name", "passed", "first_violation", "detail")
 
     def __init__(
         self, name: str, passed: bool, first_violation: int | None = None, detail: str = ""

@@ -43,6 +43,8 @@ class CurveFileError(ValueError):
 class CurveFile(_Record):
     """Parsed curve input: a type tag, (tenor, value) points and a label."""
 
+    __slots__ = ("curve_type", "points", "label")
+
     def __init__(
         self, curve_type: str, points: tuple[tuple[float, float], ...], label: str | None = None
     ) -> None:

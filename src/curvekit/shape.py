@@ -24,6 +24,8 @@ of a sane curve produces.
 
 from __future__ import annotations
 
+import math
+
 from .curves import MONOTONE_TOL, CheckResult, DiscountCurve, _Record, _require_tol
 
 CONVEX = "convex"
@@ -45,6 +47,8 @@ ALL_TRIPLES_CAP = 200
 
 
 class TripleClassification(_Record):
+    __slots__ = ("verdict", "margin")
+
     def __init__(self, verdict: str, margin: float) -> None:
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "margin", margin)
@@ -59,6 +63,8 @@ class ShapeReport(_Record):
     classified convex, and ``convex_somewhere`` otherwise.
     """
 
+    __slots__ = ("triples", "overall")
+
     def __init__(
         self, triples: tuple[tuple[int, int, int, TripleClassification], ...], overall: str
     ) -> None:
@@ -71,16 +77,29 @@ def _verdict(margin: float, tol: float = CLASSIFY_TOL) -> str:
 
 
 def classify_triple(points, tol: float = CLASSIFY_TOL) -> TripleClassification:
-    """Classify three (abscissa, value) points as convex, concave or affine."""
+    """Classify three (abscissa, value) points as convex, concave or affine.
+
+    Raises ValueError unless the abscissas strictly increase and every
+    coordinate is finite.
+    """
     _require_tol(tol, "classification")
     (x1, v1), (x2, v2), (x3, v3) = points
     if not (x1 < x2 < x3):
         raise ValueError("abscissas must be strictly increasing")
+    _require_finite(((x1, v1), (x2, v2), (x3, v3)))
     # The difference form of w1*v1 + w3*v3 - (w1 + w3)*v2: identical
     # algebraically, exactly zero for equal values, and bit-identical to
     # the weight-based carry expressions elsewhere in the package.
     margin = (x3 - x2) * (v1 - v2) + (x2 - x1) * (v3 - v2)
     return TripleClassification(_verdict(margin, tol), margin)
+
+
+def _require_finite(points) -> None:
+    """Refuse a point with an infinite or NaN coordinate: its triples' margins are not
+    finite, and a NaN margin would classify affine silently."""
+    for x, v in points:
+        if not (math.isfinite(x) and math.isfinite(v)):
+            raise ValueError(f"points must be finite, got ({x!r}, {v!r})")
 
 
 def _margins(points, mode: str):
@@ -124,8 +143,11 @@ def scan_curve_shape(
 
     ``consecutive`` scans the N-2 windows (i, i+1, i+2); ``all_triples``
     scans every i < j < k and refuses more than ``ALL_TRIPLES_CAP`` points.
+    Points must be finite; as in :func:`classify_triple`, a NaN abscissa
+    is refused as no increase.
     """
     _require_tol(tol, "classification")
+    points = [(float(x), float(v)) for x, v in points]
     new, put = object.__new__, object.__setattr__  # trusted: __init__ only assigns
     triples = []
     for i, j, k, margin in _margins(points, mode):
@@ -133,6 +155,7 @@ def scan_curve_shape(
         put(c, "verdict", _verdict(margin, tol))
         put(c, "margin", margin)
         triples.append((i, j, k, c))
+    _require_finite(points)  # after _margins' refusals: a NaN abscissa is no increase
     triples = tuple(triples)
     any_convex = any(c.verdict == CONVEX for _, _, _, c in triples)
     overall = CONVEX_SOMEWHERE if any_convex else CONCAVE_EVERYWHERE

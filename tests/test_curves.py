@@ -8,6 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from records import slot_dict
 
 from curvekit import curves
 from curvekit.bootstrap import ShiftScenario, bootstrap
@@ -377,7 +378,7 @@ def conversion_outcome(convert, curve):
         out = convert(curve)
     except (ValueError, OverflowError) as exc:
         return type(exc), str(exc)
-    fields = {name: [v.hex() for v in values] for name, values in vars(out).items()}
+    fields = {name: [v.hex() for v in values] for name, values in slot_dict(out).items()}
     return type(out), repr(out), fields
 
 
@@ -537,6 +538,11 @@ RECORDS = {
         lambda: discounts_from_zeros(ZeroCurve((1.0, 2.0), (0.25, 0.5))),
         "DiscountCurve(factors=(0.8, 0.64))",
     ),
+    "DiscountCurve-bootstrapped": (
+        lambda: bootstrap(SwapCurve((0.25, 0.25))),
+        lambda: bootstrap(SwapCurve((0.25, 0.5))),
+        "DiscountCurve(factors=(0.8, 0.64))",
+    ),
     "ArbitrageCandidate-scanned": (
         lambda: scan_arbitrage(ZeroCurve((1.0, 2.0, 3.0), (0.0625, 0.03125, 0.046875)))[0],
         lambda: scan_arbitrage(ZeroCurve((1.0, 2.0, 3.0), (0.0625, 0.03125, 0.0625)))[0],
@@ -559,7 +565,7 @@ RECORDS = {
 def lookalike(record):
     """A copy of ``record`` under a subclass: the same field values, another type."""
     twin = copy.copy(record)
-    object.__setattr__(twin, "__class__", type("Lookalike", (type(record),), {}))
+    object.__setattr__(twin, "__class__", type("Lookalike", (type(record),), {"__slots__": ()}))
     return twin
 
 
@@ -570,7 +576,7 @@ class TestRecordSemantics:
         assert record == build() and not record != build()
         assert record != build_other() and not record == build_other()
         assert record != lookalike(record) and lookalike(record) != record
-        assert record != tuple(vars(record).values())
+        assert record != tuple(slot_dict(record).values())
 
     def test_equal_records_hash_equal(self, build, build_other, text):
         assert hash(build()) == hash(build())
@@ -579,9 +585,16 @@ class TestRecordSemantics:
     def test_repr(self, build, build_other, text):
         assert repr(build()) == text
 
+    def test_records_are_slotted(self, build, build_other, text):
+        record = build()
+        assert set(record._fields) <= set(type(record).__slots__)
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "undeclared", None)  # past the record's own refusal
+
     def test_fields_cannot_be_assigned_or_deleted(self, build, build_other, text):
         record = build()
-        for name in [*vars(record), "extra"]:
+        for name in [*slot_dict(record), "extra"]:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
             with pytest.raises(AttributeError):
@@ -597,7 +610,22 @@ class TestRecordSemantics:
         record = build()
         twin = round_trip(record)
         assert twin == record and type(twin) is type(record)
-        assert vars(twin) == vars(record)
+        assert slot_dict(twin) == slot_dict(record)
+
+
+def record_types(cls=curves._Record):
+    """Every subclass of ``cls`` defined in curvekit, by name."""
+    found = {}
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("curvekit."):
+            found[sub.__name__] = sub
+        found.update(record_types(sub))
+    return found
+
+
+def test_every_record_type_is_in_the_record_table():
+    # So TestRecordSemantics covers every record type, slots included.
+    assert sorted(record_types()) == sorted(name for name in RECORDS if "-" not in name)
 
 
 def test_records_of_different_types_differ_on_equal_values():

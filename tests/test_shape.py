@@ -8,6 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from records import slot_dict
 
 from curvekit.bootstrap import ShiftScenario, bootstrap, shifted_bootstrap
 from curvekit.butterfly import scan_arbitrage
@@ -131,6 +132,27 @@ class TestScanCurveShape:
             with pytest.raises(ValueError, match="abscissas must be strictly increasing"):
                 refuse(nan_points)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("coord", [0, 1], ids=["abscissa", "value"])
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_non_finite_points_are_refused(self, pos, coord, bad):
+        # A NaN margin would classify affine, and the scan would read
+        # concave_everywhere.  Abscissas that no longer increase are
+        # refused as such first, as before.
+        points = [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
+        points[pos][coord] = bad
+        points = [tuple(p) for p in points]
+        (x1, _), (x2, _), (x3, _) = points
+        if x1 < x2 < x3:
+            message = f"points must be finite, got {points[pos]!r}"
+        else:
+            message = "abscissas must be strictly increasing"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classify_triple(points)
+        for mode in (CONSECUTIVE, ALL_TRIPLES):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                scan_curve_shape(points, mode=mode)
+
     def test_lexicographic_order(self):
         points = [(float(t), 0.01 * t) for t in range(1, 8)]
         report = scan_curve_shape(points, mode=ALL_TRIPLES)
@@ -213,8 +235,8 @@ class TestScanCurveShapePinning:
             got = scan_curve_shape(points, mode, tol)
             assert got == ShapeReport(want, CONVEX_SOMEWHERE if convex else CONCAVE_EVERYWHERE)
             assert repr(got) == repr(ShapeReport(want, got.overall))
-            assert [list(vars(c).items()) for *_, c in got.triples] == [
-                list(vars(c).items()) for *_, c in want
+            assert [list(slot_dict(c).items()) for *_, c in got.triples] == [
+                list(slot_dict(c).items()) for *_, c in want
             ]
 
 
