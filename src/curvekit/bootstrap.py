@@ -34,7 +34,14 @@ from .curves import (
     _check_rate_range,
     _Record,
 )
-from .shape import CONCAVE, CONSECUTIVE, CONVEX, _margins, _verdict, ratio_monotonicity
+from .shape import (
+    CONCAVE,
+    CONVEX,
+    _require_all_windows,
+    _verdict,
+    _window_margins,
+    ratio_monotonicity,
+)
 
 PARALLEL = "parallel"
 PER_TENOR = "per_tenor"
@@ -139,12 +146,10 @@ def _recursion(rates, strict: bool) -> tuple[list[float], list[float]]:
 
 def swap_rates_from_discounts(curve: DiscountCurve) -> SwapCurve:
     """Par swap rates implied by discount factors; exact inverse of bootstrap."""
-    rates = []
-    for n, (p, acc) in enumerate(zip(curve.factors, curve.annuities), start=1):
-        if acc == 0.0:
-            raise ValueError(f"annuity through year {n} is zero")
-        rates.append((1.0 - p) / acc)
-    return SwapCurve(tuple(rates))
+    annuities = curve.annuities
+    if 0.0 in annuities:  # -0.0 included
+        raise ValueError(f"annuity through year {annuities.index(0.0) + 1} is zero")
+    return SwapCurve(tuple([(1.0 - p) / acc for p, acc in zip(curve.factors, annuities)]))
 
 
 def apply_shift(swaps: SwapCurve, shift: ShiftScenario) -> SwapCurve:
@@ -326,7 +331,9 @@ def _annuity_ratio_decreasing(base: DiscountCurve, shifted: DiscountCurve) -> Ch
 def _annuity_triples(
     base: DiscountCurve, shifted: DiscountCurve, bad_verdict: str
 ) -> CheckResult:
-    for i, _, _, margin in _margins(zip(base.annuities, shifted.annuities), CONSECUTIVE):
+    # Window by window: a bad verdict before annuities that stop increasing is reported.
+    margins = _window_margins(base.annuities, shifted.annuities)
+    for i, margin in enumerate(margins):
         if _verdict(margin) == bad_verdict:
             return CheckResult(
                 "annuity_triples",
@@ -334,4 +341,5 @@ def _annuity_triples(
                 i + 1,
                 f"triple {(i + 1, i + 2, i + 3)} classifies {bad_verdict} (margin {margin:.3e})",
             )
+    _require_all_windows(margins, len(base))
     return CheckResult("annuity_triples", True)

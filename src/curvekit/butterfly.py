@@ -19,12 +19,13 @@ in the README formula map.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from itertools import chain
+from operator import itemgetter, lt
 
 from .bootstrap import _recursion, bootstrap
 from .curves import RATE_HI, RATE_LO, SwapCurve, ZeroCurve, _check_rate_range, _Record
 from .curves import _require_tol, _require_valid
-from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins
+from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins, _require_all_windows, _window_margins
 
 ZERO_BOND = "zero_bond"
 SWAP = "swap"
@@ -119,6 +120,21 @@ class ArbitrageCandidate(_Record):
         object.__setattr__(self, "butterfly", butterfly)
 
 
+# Slot setters for the candidates scan_arbitrage builds itself, as in curves.py.
+_BUTTERFLY_SETTERS = (
+    Butterfly.kind.__set__,
+    Butterfly.legs.__set__,
+    Butterfly.weights.__set__,
+    Butterfly.base_annuities.__set__,
+)
+_CANDIDATE_SETTERS = (
+    ArbitrageCandidate.indices.__set__,
+    ArbitrageCandidate.legs.__set__,
+    ArbitrageCandidate.margin.__set__,
+    ArbitrageCandidate.butterfly.__set__,
+)
+
+
 def zero_butterfly(t1: float, t2: float, t3: float) -> Butterfly:
     """Zero-coupon butterfly over maturities 0 < t1 < t2 < t3.
 
@@ -145,6 +161,8 @@ def zero_butterfly_pnl(fly: Butterfly, yields: Triple, shift: float, horizon: fl
     if fly.kind != ZERO_BOND:
         raise ValueError(f"expected a zero_bond butterfly, got kind {fly.kind!r}")
     t1, t2, t3 = fly.legs
+    if not 0.0 < t1 < t2 < t3:  # a hand-built butterfly's legs, NaN included
+        raise ValueError(f"maturities must satisfy 0 < t1 < t2 < t3, got {(t1, t2, t3)}")
     if not 0.0 <= horizon <= t1:
         raise ValueError(
             f"horizon must lie in [0, first maturity {t1}], got {horizon}"
@@ -259,6 +277,8 @@ def swap_butterfly_pnl(
     if not 0.0 <= horizon <= 1.0:
         raise ValueError(f"horizon must lie in [0, 1] years, got {horizon}")
     n, m, k = fly.legs
+    if not (isinstance(n, int) and isinstance(m, int) and isinstance(k, int) and 1 <= n < m < k):
+        raise ValueError(f"need 1 <= n < m < k <= {len(swaps)}, got {fly.legs}")
     if len(swaps) < k:
         raise ValueError("curve is shorter than the butterfly's last leg")
     w1, w2, w3 = fly.weights
@@ -295,19 +315,14 @@ def _scan_hits(curve: ZeroCurve | SwapCurve, kind: str, mode: str, tol: float):
     if kind == ZERO_BOND:
         if not isinstance(curve, ZeroCurve):
             raise ValueError("zero_bond scan expects a ZeroCurve")
-        prev = 1.0
-        for pos, (t, y) in enumerate(zip(curve.tenors, curve.yields), start=1):
-            try:  # a price that overflows does not decrease either
-                p = (1.0 + y) ** (-t)
-            except OverflowError:
-                p = math.inf
-            if p >= prev:
-                raise ValueError(
-                    f"curve fails validation: zero price does not decrease at "
-                    f"point {pos}"
-                )
-            prev = p
         xs, values, legs = curve.tenors, curve.yields, curve.tenors
+        try:
+            prices = [(1.0 + y) ** (-t) for t, y in zip(xs, values)]
+            falling = all(map(lt, prices, chain((1.0,), prices)))
+        except OverflowError:  # a price that overflows does not decrease either
+            falling = False
+        if not falling:
+            _refuse_rising_zero_price(curve)
     elif kind == SWAP:
         if not isinstance(curve, SwapCurve):
             raise ValueError("swap scan expects a SwapCurve")
@@ -316,9 +331,28 @@ def _scan_hits(curve: ZeroCurve | SwapCurve, kind: str, mode: str, tol: float):
     else:
         raise ValueError(f"unknown butterfly kind {kind!r}")
     # Convex as classify_triple decides; a stable sort keeps ties in (i, j, k) order.
-    hits = [(-m, i, j, k) for i, j, k, m in _margins(zip(xs, values), mode) if m > tol]
+    if mode == CONSECUTIVE:
+        margins = _require_all_windows(_window_margins(xs, values), len(xs))
+        hits = [(-m, i, i + 1, i + 2) for i, m in enumerate(margins) if m > tol]
+    else:
+        hits = [(-m, i, j, k) for i, j, k, m in _margins(zip(xs, values), mode) if m > tol]
     hits.sort(key=itemgetter(0))
     return xs, legs, hits
+
+
+def _refuse_rising_zero_price(curve: ZeroCurve) -> None:
+    """Name the first point whose zero price does not decrease."""
+    prev = 1.0
+    for pos, (t, y) in enumerate(zip(curve.tenors, curve.yields), start=1):
+        try:  # a price that overflows does not decrease either
+            p = (1.0 + y) ** (-t)
+        except OverflowError:
+            p = math.inf
+        if p >= prev:
+            raise ValueError(
+                f"curve fails validation: zero price does not decrease at point {pos}"
+            )
+        prev = p
 
 
 def scan_arbitrage(
@@ -339,20 +373,22 @@ def scan_arbitrage(
     descending, ties by indices, so results are deterministic.
     """
     xs, legs, hits = _scan_hits(curve, kind, mode, tol)
-    new, put = object.__new__, object.__setattr__  # trusted: __init__ only assigns
+    new, swap = object.__new__, kind == SWAP
+    set_kind, set_fly_legs, set_weights, set_base_annuities = _BUTTERFLY_SETTERS
+    set_indices, set_legs, set_margin, set_butterfly = _CANDIDATE_SETTERS
     candidates = []
     for neg_margin, i, j, k in hits:
         w1, w3 = xs[k] - xs[j], xs[j] - xs[i]
         fly_legs = (legs[i], legs[j], legs[k])
         fly = new(Butterfly)
-        put(fly, "kind", kind)
-        put(fly, "legs", fly_legs)
-        put(fly, "weights", (w1, w1 + w3, w3))
-        put(fly, "base_annuities", (xs[i], xs[j], xs[k]) if kind == SWAP else None)
+        set_kind(fly, kind)
+        set_fly_legs(fly, fly_legs)
+        set_weights(fly, (w1, w1 + w3, w3))
+        set_base_annuities(fly, (xs[i], xs[j], xs[k]) if swap else None)
         hit = new(ArbitrageCandidate)
-        put(hit, "indices", (i + 1, j + 1, k + 1))
-        put(hit, "legs", fly_legs)
-        put(hit, "margin", -neg_margin)
-        put(hit, "butterfly", fly)
+        set_indices(hit, (i + 1, j + 1, k + 1))
+        set_legs(hit, fly_legs)
+        set_margin(hit, -neg_margin)
+        set_butterfly(hit, fly)
         candidates.append(hit)
     return tuple(candidates)

@@ -196,9 +196,9 @@ class DiscountCurve(_Record):
         # A finite last sum means every factor is finite.
         if not (annuities and math.isfinite(annuities[-1])):
             _as_floats(factors, "factors")
-        curve = cls.__new__(cls)
-        object.__setattr__(curve, "factors", factors)
-        object.__setattr__(curve, "annuities", annuities)
+        curve = object.__new__(cls)
+        _set_factors(curve, factors)
+        _set_annuities(curve, annuities)
         return curve
 
     def __len__(self) -> int:
@@ -232,6 +232,14 @@ class Violation(_Record):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
+
+
+# Slot setters (member descriptors) for the records the library builds itself: like
+# object.__setattr__ they pass _Record.__setattr__'s refusal, at about two thirds of its
+# cost.  Hot loops unpack a record's setters into locals and call each once per record.
+_set_tenors, _set_yields = ZeroCurve.tenors.__set__, ZeroCurve.yields.__set__
+_set_factors, _set_annuities = DiscountCurve.factors.__set__, DiscountCurve.annuities.__set__
+_VIOLATION_SETTERS = (Violation.index.__set__, Violation.kind.__set__, Violation.value.__set__)
 
 
 class ValidationReport(_Record):
@@ -304,8 +312,8 @@ def zeros_from_discounts(curve: DiscountCurve) -> ZeroCurve:
         yields = tuple(zero_yield_from_price(p, n) for n, p in enumerate(curve.factors, start=1))
     _check_rate_range(yields, "yields")
     zeros = object.__new__(ZeroCurve)  # on the integer grid, so the tenors need no checks
-    object.__setattr__(zeros, "tenors", tuple(map(float, range(1, len(curve) + 1))))
-    object.__setattr__(zeros, "yields", yields)
+    _set_tenors(zeros, tuple(map(float, range(1, len(curve) + 1))))
+    _set_yields(zeros, yields)
     return zeros
 
 
@@ -316,26 +324,19 @@ def forward_rates(curve: DiscountCurve) -> ForwardCurve:
     supplying the spot rate ``f[0] = 1 / p[1] - 1``.  The output has the
     same length as the input.
     """
-    prev = 1.0
-    out = []
-    for n, p in enumerate(curve.factors, start=1):
-        if p == 0.0:
-            raise ValueError(f"discount factor at year {n} is zero")
-        out.append(prev / p - 1.0)
-        prev = p
-    return ForwardCurve(tuple(out))
+    factors = curve.factors
+    if 0.0 in factors:  # -0.0 included
+        raise ValueError(f"discount factor at year {factors.index(0.0) + 1} is zero")
+    return ForwardCurve(tuple([prev / p - 1.0 for prev, p in zip((1.0, *factors), factors)]))
 
 
 def par_rates(curve: DiscountCurve) -> SwapCurve:
     """Par rates of a discount curve: (1 - p_n) / (p_1 + ... + p_n)."""
-    for n, p in enumerate(curve.factors, start=1):
-        if p <= 0.0:
-            raise ValueError(f"discount factor at year {n} must be positive")
-    return SwapCurve(
-        tuple(
-            (1.0 - p) / acc for p, acc in zip(curve.factors, curve.annuities)
-        )
-    )
+    factors = curve.factors
+    if not min(factors) > 0.0:  # exact: the factors are finite
+        n = next(n for n, p in enumerate(factors, start=1) if p <= 0.0)
+        raise ValueError(f"discount factor at year {n} must be positive")
+    return SwapCurve(tuple([(1.0 - p) / acc for p, acc in zip(factors, curve.annuities)]))
 
 
 def _require_tol(tol: float, what: str) -> None:
@@ -364,17 +365,32 @@ def validate(curve: DiscountCurve, tol: float = MONOTONE_TOL) -> ValidationRepor
 
 
 def _violations(curve: DiscountCurve, tol: float = MONOTONE_TOL):
+    """validate's findings, built lazily and without Violation's constructor."""
+    new = object.__new__
+    set_index, set_kind, set_value = _VIOLATION_SETTERS
     forwards = []
     prev = 1.0
     for n, p in enumerate(curve.factors, start=1):
         if p <= tol:
-            yield Violation(n, NON_POSITIVE_DISCOUNT, p)
+            v = new(Violation)
+            set_index(v, n)
+            set_kind(v, NON_POSITIVE_DISCOUNT)
+            set_value(v, p)
+            yield v
         if p >= prev - tol:
-            yield Violation(n, NON_DECREASING_DISCOUNT, p)
+            v = new(Violation)
+            set_index(v, n)
+            set_kind(v, NON_DECREASING_DISCOUNT)
+            set_value(v, p)
+            yield v
         if p != 0.0:
             f = prev / p - 1.0
             if f <= tol:
-                forwards.append(Violation(n - 1, NON_POSITIVE_FORWARD, f))
+                v = new(Violation)
+                set_index(v, n - 1)
+                set_kind(v, NON_POSITIVE_FORWARD)
+                set_value(v, f)
+                forwards.append(v)
         prev = p
     yield from forwards
 

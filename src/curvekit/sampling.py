@@ -31,11 +31,16 @@ def random_discount_curve(
     rng: Random, n: int, f_lo: float = 0.001, f_hi: float = 0.12
 ) -> DiscountCurve:
     """Discount curve built from uniform one-year forwards in [f_lo, f_hi]."""
+    _check_draw(n, f_lo, f_hi)
+    return _discounts(rng.uniform(f_lo, f_hi) for _ in range(n))
+
+
+def _check_draw(n: int, f_lo: float, f_hi: float) -> None:
+    """Refuse arguments that would break validity by construction."""
     if n < 1:
         raise ValueError("curve length must be at least 1")
     if not 0.0 < f_lo < f_hi:
         raise ValueError("forward bounds must satisfy 0 < f_lo < f_hi")
-    return _discounts(rng.uniform(f_lo, f_hi) for _ in range(n))
 
 
 def random_swap_curve(
@@ -60,6 +65,7 @@ def random_nondecreasing_swap_curve(
     rates directly would not work: a steep enough rising par curve
     implies negative discount factors.)
     """
+    _check_draw(n, f_lo, f_hi)
     forwards = sorted(rng.uniform(f_lo, f_hi) for _ in range(n))
     return swap_rates_from_discounts(_discounts(forwards))
 

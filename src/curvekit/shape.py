@@ -25,6 +25,8 @@ of a sane curve produces.
 from __future__ import annotations
 
 import math
+from itertools import count
+from operator import lt
 
 from .curves import MONOTONE_TOL, CheckResult, DiscountCurve, _Record, _require_tol
 
@@ -72,6 +74,13 @@ class ShapeReport(_Record):
         object.__setattr__(self, "overall", overall)
 
 
+# Slot setters for the classifications scan_curve_shape builds itself, as in curves.py.
+_CLASSIFICATION_SETTERS = (
+    TripleClassification.verdict.__set__,
+    TripleClassification.margin.__set__,
+)
+
+
 def _verdict(margin: float, tol: float = CLASSIFY_TOL) -> str:
     return CONVEX if margin > tol else CONCAVE if margin < -tol else AFFINE
 
@@ -102,6 +111,33 @@ def _require_finite(points) -> None:
             raise ValueError(f"points must be finite, got ({x!r}, {v!r})")
 
 
+def _window_margins(xs, vs) -> list[float]:
+    """The consecutive margin kernel: the margins of the windows (i, i+1, i+2) of the
+    points (xs[i], vs[i]), as classify_triple's, in window order.
+
+    The list stops before the first window whose abscissas do not strictly increase
+    (NaN is no increase); callers refuse a short list with _require_all_windows.
+    """
+    if not all(map(lt, xs, xs[1:])):
+        # The first pair that does not increase ends the first window that holds it.
+        stop = max(list(map(lt, xs, xs[1:])).index(False) - 1, 0)
+        xs, vs = xs[: stop + 2], vs[: stop + 2]
+    return [
+        (x3 - x2) * (v1 - v2) + (x2 - x1) * (v3 - v2)
+        for x1, x2, x3, v1, v2, v3 in zip(xs, xs[1:], xs[2:], vs, vs[1:], vs[2:])
+    ]
+
+
+def _require_all_windows(margins: list[float], n: int) -> list[float]:
+    """The kernel's margins over n points, refused as _margins refuses unless they
+    cover all N-2 windows."""
+    if n < 3:
+        raise ValueError("shape scan needs at least 3 points")
+    if len(margins) < n - 2:
+        raise ValueError("abscissas must be strictly increasing")
+    return margins
+
+
 def _margins(points, mode: str):
     """Yield (i, j, k, margin) in (i, j, k) order; margins as classify_triple's."""
     pts = [(float(x), float(v)) for x, v in points]
@@ -111,11 +147,10 @@ def _margins(points, mode: str):
     if mode != CONSECUTIVE and not all(b > a for (a, _), (b, _) in zip(pts, pts[1:])):
         raise ValueError("abscissas must be strictly increasing")  # NaN is no increase
     if mode == CONSECUTIVE:
-        for i in range(n - 2):
-            (x1, v1), (x2, v2), (x3, v3) = pts[i], pts[i + 1], pts[i + 2]
-            if not x1 < x2 < x3:  # per window, as classify_triple: early stops keep its order
-                raise ValueError("abscissas must be strictly increasing")
-            yield i, i + 1, i + 2, (x3 - x2) * (v1 - v2) + (x2 - x1) * (v3 - v2)
+        # Refused per window, as classify_triple: early stops keep its order.
+        margins = _window_margins(*zip(*pts))
+        yield from zip(count(), count(1), count(2), margins)
+        _require_all_windows(margins, n)
     elif mode == ALL_TRIPLES:
         if n > ALL_TRIPLES_CAP:
             raise ValueError(
@@ -148,12 +183,13 @@ def scan_curve_shape(
     """
     _require_tol(tol, "classification")
     points = [(float(x), float(v)) for x, v in points]
-    new, put = object.__new__, object.__setattr__  # trusted: __init__ only assigns
+    new = object.__new__
+    set_verdict, set_margin = _CLASSIFICATION_SETTERS
     triples = []
     for i, j, k, margin in _margins(points, mode):
         c = new(TripleClassification)
-        put(c, "verdict", _verdict(margin, tol))
-        put(c, "margin", margin)
+        set_verdict(c, _verdict(margin, tol))
+        set_margin(c, margin)
         triples.append((i, j, k, c))
     _require_finite(points)  # after _margins' refusals: a NaN abscissa is no increase
     triples = tuple(triples)

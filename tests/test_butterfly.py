@@ -19,6 +19,8 @@ from curvekit.bootstrap import (
     shifted_bootstrap,
 )
 from curvekit.butterfly import (
+    SWAP,
+    ZERO_BOND,
     ArbitrageCandidate,
     Butterfly,
     PnlBreakdown,
@@ -119,6 +121,16 @@ class TestZeroButterflyPnl:
         swap_fly = swap_butterfly(SwapCurve((0.05,) * 3), (1, 2, 3))
         with pytest.raises(ValueError):
             zero_butterfly_pnl(swap_fly, (0.02, 0.03, 0.04), 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "legs", [(5.0, 2.0, 9.0), (1.0, 1.0, 2.0), (0.0, 1.0, 2.0), (1.0, math.nan, 3.0)]
+    )
+    def test_hand_built_legs_out_of_order_are_refused(self, legs):
+        # (5.0, 2.0, 9.0) used to price without complaint.
+        fly = Butterfly(ZERO_BOND, legs, (7.0, 4.0, -3.0))
+        with pytest.raises(ValueError) as exc:
+            zero_butterfly_pnl(fly, (0.02, 0.03, 0.04), 0.01, 0.0)
+        assert str(exc.value) == f"maturities must satisfy 0 < t1 < t2 < t3, got {legs}"
 
     @given(
         a=st.floats(-0.05, 0.05),
@@ -351,6 +363,24 @@ class TestSwapButterflyPnl:
         zero_fly = zero_butterfly(1, 2, 3)
         with pytest.raises(ValueError):
             swap_butterfly_pnl(zero_fly, swaps, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "legs", [(0, 2, 3), (3, 2, 5), (2, 2, 3), (1.0, 2.0, 3.0), (1, 2, 3.0), (1, 2.5, 3)]
+    )
+    def test_hand_built_legs_off_the_grid_are_refused(self, legs):
+        # (0, 2, 3) used to price year 10 as its first leg, (3, 2, 5) its legs out of
+        # order, and float legs ended in a TypeError.
+        swaps = random_swap_curve(Random(4), 10)
+        fly = Butterfly(SWAP, legs, (1.0, 2.0, 1.0), (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError) as exc:
+            swap_butterfly_pnl(fly, swaps, 0.001, 0.5)
+        assert str(exc.value) == f"need 1 <= n < m < k <= 10, got {legs}"
+
+    def test_legs_past_the_curve_are_refused(self):
+        fly = swap_butterfly(random_swap_curve(Random(4), 10), (2, 5, 9))
+        with pytest.raises(ValueError) as exc:
+            swap_butterfly_pnl(fly, random_swap_curve(Random(4), 8), 0.001, 0.5)
+        assert str(exc.value) == "curve is shorter than the butterfly's last leg"
 
     def test_instantaneous_mtm_matches_cashflow_repricing(self):
         # Independent oracle: reprice each received-fixed leg from raw

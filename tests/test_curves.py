@@ -342,12 +342,14 @@ class TestViolationStream:
         curve = bootstrap(random_swap_curve(Random(1), 1000))
         assert len(validate(curve).violations) > 1000
         built = []
+        set_index, *rest = curves._VIOLATION_SETTERS
 
-        def counting_violation(*args):
-            built.append(args)
-            return Violation(*args)
+        def counting_set_index(violation, index):
+            # The stream sets each finding's index once, through this slot setter.
+            built.append(index)
+            set_index(violation, index)
 
-        monkeypatch.setattr(curves, "Violation", counting_violation)
+        monkeypatch.setattr(curves, "_VIOLATION_SETTERS", (counting_set_index, *rest))
         with pytest.raises(ValueError, match="curve fails validation"):
             _require_valid(curve, "curve")
         assert len(built) == 1
