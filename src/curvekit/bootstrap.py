@@ -176,7 +176,8 @@ def shift_response(
     """The six shift-response rows of a scenario, as (name, outcome) pairs.
 
     ``base`` and ``shifted`` are the curves before and after ``scenario``,
-    each bootstrapped once and validated by the caller.  An outcome is
+    each bootstrapped once and validated by the caller, as
+    :func:`curvekit.sampling.verify_trials` does.  An outcome is
     None when the scenario is outside the check's hypothesis: the annuity
     bound needs a uniformly signed shift; the bracket, discount-drop and
     annuity-ratio checks a parallel rise; the triple check three tenors.

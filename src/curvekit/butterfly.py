@@ -24,7 +24,7 @@ from operator import itemgetter, lt
 
 from .bootstrap import _recursion, bootstrap
 from .curves import RATE_HI, RATE_LO, SwapCurve, ZeroCurve, _check_rate_range, _Record
-from .curves import _require_tol, _require_valid
+from .curves import _grid_years, _require_tol, _require_valid
 from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins, _require_all_windows, _window_margins
 
 ZERO_BOND = "zero_bond"
@@ -118,21 +118,6 @@ class ArbitrageCandidate(_Record):
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "butterfly", butterfly)
-
-
-# Slot setters for the candidates scan_arbitrage builds itself, as in curves.py.
-_BUTTERFLY_SETTERS = (
-    Butterfly.kind.__set__,
-    Butterfly.legs.__set__,
-    Butterfly.weights.__set__,
-    Butterfly.base_annuities.__set__,
-)
-_CANDIDATE_SETTERS = (
-    ArbitrageCandidate.indices.__set__,
-    ArbitrageCandidate.legs.__set__,
-    ArbitrageCandidate.margin.__set__,
-    ArbitrageCandidate.butterfly.__set__,
-)
 
 
 def zero_butterfly(t1: float, t2: float, t3: float) -> Butterfly:
@@ -248,14 +233,12 @@ def swap_butterfly(swaps: SwapCurve, indices: tuple[int, int, int]) -> Butterfly
     costless at inception.  The bootstrap runs strict, so an invalid
     discount curve raises rather than producing meaningless weights.
     """
-    n, m, k = indices
-    if not (1 <= n < m < k <= len(swaps)):
-        raise ValueError(f"need 1 <= n < m < k <= {len(swaps)}, got {indices}")
+    n, m, k = _grid_years(indices, len(swaps))
     annuities = bootstrap(swaps, strict=True).annuities
     a_n, a_m, a_k = annuities[n - 1], annuities[m - 1], annuities[k - 1]
     w1 = a_k - a_m
     w3 = a_m - a_n
-    return Butterfly(SWAP, (int(n), int(m), int(k)), (w1, w1 + w3, w3), (a_n, a_m, a_k))
+    return Butterfly(SWAP, (n, m, k), (w1, w1 + w3, w3), (a_n, a_m, a_k))
 
 
 def swap_butterfly_pnl(
@@ -374,8 +357,8 @@ def scan_arbitrage(
     """
     xs, legs, hits = _scan_hits(curve, kind, mode, tol)
     new, swap = object.__new__, kind == SWAP
-    set_kind, set_fly_legs, set_weights, set_base_annuities = _BUTTERFLY_SETTERS
-    set_indices, set_legs, set_margin, set_butterfly = _CANDIDATE_SETTERS
+    set_kind, set_fly_legs, set_weights, set_base_annuities = Butterfly._setters
+    set_indices, set_legs, set_margin, set_butterfly = ArbitrageCandidate._setters
     candidates = []
     for neg_margin, i, j, k in hits:
         w1, w3 = xs[k] - xs[j], xs[j] - xs[i]

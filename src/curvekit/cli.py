@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 domain or validation failure or unwritable
 output, 2 unreadable or malformed input or command line.  :func:`main`
 parses with :mod:`argparse` and maps refusals to them once, for every
 command; it is the in-process entry point, :func:`run` the process one.
-Every command is deterministic given its inputs and flags; randomized
-verification trials derive their generators from the --seed value plus
-the trial index, never from ambient randomness.
+Commands only parse flags, call the library and format its results: the
+seeded trials of ``verify`` run in :func:`curvekit.sampling.verify_trials`,
+so every command is deterministic given its inputs and flags.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ import functools
 import math
 import os
 import sys
-from random import Random
 
 from . import io as curve_io
-from .bootstrap import ShiftScenario, bootstrap, shift_response, shifted_bootstrap
+from .bootstrap import ShiftScenario, bootstrap
 from .butterfly import (
     SWAP,
     ZERO_BOND,
@@ -38,16 +37,8 @@ from .butterfly import (
     zero_butterfly,
     zero_butterfly_pnl,
 )
-from .curves import (
-    DiscountCurve,
-    _require_valid,
-    _violations,
-    discounts_from_zeros,
-    forward_rates,
-    par_rates,
-    validate,
-)
-from .sampling import perturb_swap_curve
+from .curves import DiscountCurve, discounts_from_zeros, forward_rates, par_rates, validate
+from .sampling import verify_trials
 from .shape import ALL_TRIPLES, CONSECUTIVE
 
 BP = 1e-4
@@ -312,28 +303,10 @@ def cmd_verify(path: str, shift_bp: str, trials: int, seed: int, out: str | None
         raise ValueError("--trials must be >= 0")
     if trials > MAX_TRIALS:
         raise ValueError(f"--trials exceeds the cap of {MAX_TRIALS}")
-    swaps = curve_file.to_swap_curve()
-    base = _require_valid(bootstrap(swaps), "input curve")
-    # The checks presuppose a functioning shifted market, so a scenario
-    # that breaks the shifted curve is an input error, not a finding.
-    shifted = _require_valid(shifted_bootstrap(swaps, scenario), "shifted curve")
-    rows = {name: ("base", outcome) for name, outcome in shift_response(base, shifted, scenario)}
-    forwards = forward_rates(base)
-    for trial in range(trials):
-        rng = Random(f"{seed}:{trial}")
-        perturbed = perturb_swap_curve(rng, forwards)
-        shifted = shifted_bootstrap(perturbed, scenario)
-        if any(_violations(shifted)):
-            continue  # scenario breaks this perturbation; not a finding
-        for name, outcome in shift_response(bootstrap(perturbed), shifted, scenario):
-            _, prev = rows[name]
-            if prev is not None and not prev.passed:
-                continue  # keep the first failure
-            if outcome is not None and not outcome.passed:
-                rows[name] = (f"trial {trial}", outcome)
+    report = verify_trials(curve_file.to_swap_curve(), scenario, trials, seed)
     lines = ["check,status,first_violation,detail"]
     failed = False
-    for name, (label, outcome) in rows.items():
+    for name, trial, outcome in report.rows:
         if outcome is None:
             lines.append(f"{name},SKIP,,shift scenario outside this check's hypothesis")
         elif outcome.passed:
@@ -341,6 +314,7 @@ def cmd_verify(path: str, shift_bp: str, trials: int, seed: int, out: str | None
         else:
             failed = True
             idx = "" if outcome.first_violation is None else str(outcome.first_violation)
+            label = "base" if trial is None else f"trial {trial}"
             lines.append(f"{name},FAIL,{idx},{label}: {outcome.detail}")
     _emit(lines, out)
     if failed:

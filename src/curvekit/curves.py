@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, index
 
 # Decimal per-annum rates accepted anywhere in the package.
 RATE_LO = -0.5
@@ -83,6 +83,10 @@ class _Record:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
         cls._key = attrgetter(*cls._fields)  # the fields' tuple, or the one field
+        # Slot setters in __slots__ order, for records the library builds itself: like
+        # object.__setattr__ they pass the refusal below, at about two thirds of its cost.
+        # Hot loops unpack them into locals once per call and call each once per record.
+        cls._setters = tuple([vars(cls)[name].__set__ for name in cls.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -196,9 +200,10 @@ class DiscountCurve(_Record):
         # A finite last sum means every factor is finite.
         if not (annuities and math.isfinite(annuities[-1])):
             _as_floats(factors, "factors")
+        set_factors, set_annuities = DiscountCurve._setters
         curve = object.__new__(cls)
-        _set_factors(curve, factors)
-        _set_annuities(curve, annuities)
+        set_factors(curve, factors)
+        set_annuities(curve, annuities)
         return curve
 
     def __len__(self) -> int:
@@ -232,14 +237,6 @@ class Violation(_Record):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
-
-
-# Slot setters (member descriptors) for the records the library builds itself: like
-# object.__setattr__ they pass _Record.__setattr__'s refusal, at about two thirds of its
-# cost.  Hot loops unpack a record's setters into locals and call each once per record.
-_set_tenors, _set_yields = ZeroCurve.tenors.__set__, ZeroCurve.yields.__set__
-_set_factors, _set_annuities = DiscountCurve.factors.__set__, DiscountCurve.annuities.__set__
-_VIOLATION_SETTERS = (Violation.index.__set__, Violation.kind.__set__, Violation.value.__set__)
 
 
 class ValidationReport(_Record):
@@ -311,9 +308,10 @@ def zeros_from_discounts(curve: DiscountCurve) -> ZeroCurve:
     else:  # refused at the first non-positive factor, named by zero_yield_from_price
         yields = tuple(zero_yield_from_price(p, n) for n, p in enumerate(curve.factors, start=1))
     _check_rate_range(yields, "yields")
+    set_tenors, set_yields = ZeroCurve._setters
     zeros = object.__new__(ZeroCurve)  # on the integer grid, so the tenors need no checks
-    _set_tenors(zeros, tuple(map(float, range(1, len(curve) + 1))))
-    _set_yields(zeros, yields)
+    set_tenors(zeros, tuple(map(float, range(1, len(curve) + 1))))
+    set_yields(zeros, yields)
     return zeros
 
 
@@ -367,7 +365,7 @@ def validate(curve: DiscountCurve, tol: float = MONOTONE_TOL) -> ValidationRepor
 def _violations(curve: DiscountCurve, tol: float = MONOTONE_TOL):
     """validate's findings, built lazily and without Violation's constructor."""
     new = object.__new__
-    set_index, set_kind, set_value = _VIOLATION_SETTERS
+    set_index, set_kind, set_value = Violation._setters
     forwards = []
     prev = 1.0
     for n, p in enumerate(curve.factors, start=1):
@@ -410,3 +408,15 @@ def _require_integer_grid(tenors: tuple[float, ...]) -> None:
             raise ValueError(
                 f"tenors must be the consecutive integers 1..N, got {t} at position {n}"
             )
+
+
+def _grid_years(indices, size: int) -> tuple[int, int, int]:
+    """Years n < m < k on the grid 1..size, or ValueError.  A year is whole as
+    ``operator.index`` decides: numpy integers pass, floats such as 2.0 do not."""
+    n, m, k = indices
+    if 1 <= n < m < k <= size:
+        try:
+            return index(n), index(m), index(k)
+        except TypeError:
+            pass
+    raise ValueError(f"need 1 <= n < m < k <= {size}, got {indices}")

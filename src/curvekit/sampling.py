@@ -1,10 +1,13 @@
-"""Deterministic generation of valid random curves for randomized checks.
+"""Deterministic generation of valid random curves for randomized checks,
+and the seeded verification run that uses them.
 
 Sampling positive one-year forwards and converting them to par rates
 guarantees the resulting swap curve bootstraps to positive, strictly
 decreasing discount factors -- validity by construction, no rejection
-loop.  Every function takes an explicit ``random.Random`` so trials can
-be seeded from a base seed plus trial index and replayed bit-for-bit.
+loop.  Every sampler takes an explicit ``random.Random``, and
+:func:`verify_trials` seeds each trial's generator from the base seed
+plus the trial index, never from ambient randomness, so trials replay
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ import math
 from collections.abc import Iterable
 from random import Random
 
+from .bootstrap import ShiftScenario, bootstrap, shift_response, shifted_bootstrap
 from .bootstrap import swap_rates_from_discounts
-from .curves import DiscountCurve, ForwardCurve, SwapCurve
+from .curves import DiscountCurve, ForwardCurve, SwapCurve, _Record, forward_rates
+from .curves import _require_valid, _violations
 
 
 def _discounts(forwards: Iterable[float]) -> DiscountCurve:
@@ -80,3 +85,58 @@ def perturb_swap_curve(rng: Random, forwards: ForwardCurve) -> SwapCurve:
     """
     jitter = (f * math.exp(rng.uniform(-0.25, 0.25)) for f in forwards.forwards)
     return swap_rates_from_discounts(_discounts(jitter))
+
+
+class VerifyReport(_Record):
+    """The shift-response rows of a curve and its seeded perturbations.
+
+    ``rows`` holds one ``(name, trial, outcome)`` per check, in
+    :func:`~curvekit.bootstrap.shift_response` order; ``trial`` is None for
+    the given curve, or else the trial whose failure the row keeps.  Of the
+    trials, ``skipped`` ones broke their shifted curve and ``evaluated`` ones
+    ran the checks; ``failed`` counts the evaluated trials with a failed check.
+    """
+
+    __slots__ = ("rows", "evaluated", "skipped", "failed")
+
+    def __init__(self, rows: tuple, evaluated: int, skipped: int, failed: int) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "evaluated", evaluated)
+        object.__setattr__(self, "skipped", skipped)
+        object.__setattr__(self, "failed", failed)
+
+
+def verify_trials(
+    swaps: SwapCurve, scenario: ShiftScenario, trials: int = 0, seed: int = 0
+) -> VerifyReport:
+    """The shift-response checks on a curve and on ``trials`` perturbations of it.
+
+    Trial t jitters the curve's forwards with ``Random(f"{seed}:{t}")``.  A trial
+    whose shifted curve fails validation is skipped, not a finding.  Raises
+    ValueError for negative ``trials`` or when the curve or its shift fails validation.
+    """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    base = _require_valid(bootstrap(swaps), "input curve")
+    # The checks presuppose a functioning shifted market, so a scenario
+    # that breaks the shifted curve is an input error, not a finding.
+    shifted = _require_valid(shifted_bootstrap(swaps, scenario), "shifted curve")
+    rows = {name: (None, outcome) for name, outcome in shift_response(base, shifted, scenario)}
+    forwards = forward_rates(base)
+    skipped = failed = 0
+    for trial in range(trials):
+        perturbed = perturb_swap_curve(Random(f"{seed}:{trial}"), forwards)
+        shifted = shifted_bootstrap(perturbed, scenario)
+        if any(_violations(shifted)):
+            skipped += 1
+            continue
+        trial_failed = False
+        for name, outcome in shift_response(bootstrap(perturbed), shifted, scenario):
+            if outcome is not None and not outcome.passed:
+                trial_failed = True
+                kept = rows[name][1]
+                if kept is None or kept.passed:  # keep the first failure
+                    rows[name] = (trial, outcome)
+        failed += trial_failed
+    rows = tuple([(name, trial, outcome) for name, (trial, outcome) in rows.items()])
+    return VerifyReport(rows, trials - skipped, skipped, failed)

@@ -28,7 +28,7 @@ import math
 from itertools import count
 from operator import lt
 
-from .curves import MONOTONE_TOL, CheckResult, DiscountCurve, _Record, _require_tol
+from .curves import MONOTONE_TOL, CheckResult, DiscountCurve, _grid_years, _Record, _require_tol
 
 CONVEX = "convex"
 CONCAVE = "concave"
@@ -72,13 +72,6 @@ class ShapeReport(_Record):
     ) -> None:
         object.__setattr__(self, "triples", triples)
         object.__setattr__(self, "overall", overall)
-
-
-# Slot setters for the classifications scan_curve_shape builds itself, as in curves.py.
-_CLASSIFICATION_SETTERS = (
-    TripleClassification.verdict.__set__,
-    TripleClassification.margin.__set__,
-)
 
 
 def _verdict(margin: float, tol: float = CLASSIFY_TOL) -> str:
@@ -184,7 +177,7 @@ def scan_curve_shape(
     _require_tol(tol, "classification")
     points = [(float(x), float(v)) for x, v in points]
     new = object.__new__
-    set_verdict, set_margin = _CLASSIFICATION_SETTERS
+    set_verdict, set_margin = TripleClassification._setters
     triples = []
     for i, j, k, margin in _margins(points, mode):
         c = new(TripleClassification)
@@ -208,13 +201,11 @@ def annuity_point_classification(
     ``indices`` are 1-based years n < m < k on the common grid of both
     curves.  A zero shift puts the points on the diagonal, hence affine.
     """
-    n, m, k = indices
-    if not (1 <= n < m < k <= len(base)):
-        raise ValueError(f"need 1 <= n < m < k <= {len(base)}, got {indices}")
+    years = _grid_years(indices, len(base))
     if len(base) != len(shifted):
         raise ValueError("curves must share one grid")
     pts = tuple(
-        (base.annuities[i - 1], shifted.annuities[i - 1]) for i in (n, m, k)
+        (base.annuities[i - 1], shifted.annuities[i - 1]) for i in years
     )
     return classify_triple(pts)
 

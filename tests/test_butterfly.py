@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -292,10 +293,21 @@ class TestSwapButterfly:
         assert w1 + w3 == w2
 
     def test_bad_indices(self):
+        # Legs that are not whole years used to end in a TypeError at the annuity lookup.
         swaps = SwapCurve((0.05,) * 3)
-        for bad in ((2, 2, 3), (0, 1, 2), (1, 3, 2), (1, 2, 9)):
-            with pytest.raises(ValueError):
+        whole = ((2, 2, 3), (0, 1, 2), (1, 3, 2), (1, 2, 9))
+        for bad in (*whole, (1.0, 2.0, 3.0), (1.5, 2, 3), (1, 2, 2.5), (1, Fraction(2), 3)):
+            with pytest.raises(ValueError) as exc:
                 swap_butterfly(swaps, bad)
+            assert str(exc.value) == f"need 1 <= n < m < k <= 3, got {bad}"
+
+    def test_integer_like_legs_are_accepted_as_ints(self):
+        np = pytest.importorskip("numpy")
+        swaps = SwapCurve((0.02, 0.025, 0.03, 0.035))
+        want = swap_butterfly(swaps, (1, 2, 4))
+        for legs in [(np.int64(1), np.int32(2), np.uint8(4)), (True, 2, 4)]:
+            fly = swap_butterfly(swaps, legs)
+            assert fly == want and all(type(leg) is int for leg in fly.legs)
 
     def test_invalid_curve_propagates_bootstrap_error(self):
         with pytest.raises(BootstrapError):

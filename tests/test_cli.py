@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvekit
-from curvekit import cli
+from curvekit import cli, sampling
 from curvekit.butterfly import SWAP, ZERO_BOND, scan_arbitrage
 from curvekit.cli import _fmt
 from curvekit.curves import zeros_from_discounts
@@ -540,7 +540,7 @@ class TestHostileFlags:
     @pytest.mark.parametrize("trials", ["100001", "1000000000", str(10**30)])
     def test_trial_count_beyond_the_cap_is_refused(self, flat, trials, monkeypatch):
         # Refused before any trial runs: the seeded perturbation is never drawn.
-        monkeypatch.setattr(cli, "perturb_swap_curve", None)
+        monkeypatch.setattr(sampling, "perturb_swap_curve", None)
         result = run_cli(["verify", flat, "--trials", trials])
         assert_clean_refusal(result, 1)
         assert result.stderr == "error: --trials exceeds the cap of 100000\n"
@@ -553,7 +553,7 @@ class TestHostileFlags:
         def first_trial_only(rng, forwards):
             raise Enough
 
-        monkeypatch.setattr(cli, "perturb_swap_curve", first_trial_only)
+        monkeypatch.setattr(sampling, "perturb_swap_curve", first_trial_only)
         with pytest.raises(Enough):
             run_cli(["verify", flat, "--trials", str(cli.MAX_TRIALS)])
 

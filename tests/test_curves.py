@@ -43,6 +43,7 @@ from curvekit.curves import (
 )
 from curvekit.io import CurveFile
 from curvekit.sampling import (
+    VerifyReport,
     random_discount_curve,
     random_nondecreasing_swap_curve,
     random_swap_curve,
@@ -342,14 +343,14 @@ class TestViolationStream:
         curve = bootstrap(random_swap_curve(Random(1), 1000))
         assert len(validate(curve).violations) > 1000
         built = []
-        set_index, *rest = curves._VIOLATION_SETTERS
+        set_index, *rest = Violation._setters
 
         def counting_set_index(violation, index):
             # The stream sets each finding's index once, through this slot setter.
             built.append(index)
             set_index(violation, index)
 
-        monkeypatch.setattr(curves, "_VIOLATION_SETTERS", (counting_set_index, *rest))
+        monkeypatch.setattr(Violation, "_setters", (counting_set_index, *rest))
         with pytest.raises(ValueError, match="curve fails validation"):
             _require_valid(curve, "curve")
         assert len(built) == 1
@@ -529,6 +530,14 @@ RECORDS = {
         "ArbitrageCandidate(indices=(1, 2, 3), legs=(1.0, 2.0, 3.0), margin=0.5,"
         f" butterfly={FLY_REPR})",
     ),
+    "VerifyReport": (
+        lambda: VerifyReport(
+            (("discount_drop", None, CheckResult("discount_drop", True)),), 2, 1, 0
+        ),
+        lambda: VerifyReport((("discount_drop", None, None),), 2, 1, 0),
+        "VerifyReport(rows=(('discount_drop', None, CheckResult(name='discount_drop',"
+        " passed=True, first_violation=None, detail='')),), evaluated=2, skipped=1, failed=0)",
+    ),
     # Built by the library without their public constructors.
     "ZeroCurve-converted": (
         lambda: zeros_from_discounts(DiscountCurve((0.8, 0.64))),
@@ -628,6 +637,14 @@ def record_types(cls=curves._Record):
 def test_every_record_type_is_in_the_record_table():
     # So TestRecordSemantics covers every record type, slots included.
     assert sorted(record_types()) == sorted(name for name in RECORDS if "-" not in name)
+
+
+@pytest.mark.parametrize("cls", record_types().values(), ids=record_types().keys())
+def test_record_setters_set_the_slots_in_declaration_order(cls):
+    record = object.__new__(cls)
+    for value, set_slot in enumerate(cls._setters):
+        set_slot(record, value)
+    assert [getattr(record, name) for name in cls.__slots__] == list(range(len(cls.__slots__)))
 
 
 def test_records_of_different_types_differ_on_equal_values():
