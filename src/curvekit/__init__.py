@@ -6,7 +6,7 @@ checks, convexity classification of curve triples, and zero-cost
 butterfly construction with shift P&L and arbitrage scans.
 """
 
-__version__ = "0.4.2"
+__version__ = "0.4.3"
 
 from .bootstrap import (
     BootstrapError,

@@ -82,9 +82,7 @@ class ShiftScenario(_Record):
                     raise ValueError("shift amounts must be finite")
         else:
             raise ValueError(f"unknown shift kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "amount", amount)
-        object.__setattr__(self, "amounts", amounts)
+        self._set(kind, amount, amounts)
 
     @classmethod
     def parallel(cls, amount: float) -> "ShiftScenario":

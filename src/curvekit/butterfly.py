@@ -47,10 +47,7 @@ class Butterfly(_Record):
     def __init__(
         self, kind: str, legs: tuple, weights: Triple, base_annuities: Triple | None = None
     ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "legs", legs)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "base_annuities", base_annuities)
+        self._set(kind, legs, weights, base_annuities)
 
     def normalized_weights(self) -> Triple:
         """The weight triple rescaled to a unit middle (short) leg."""
@@ -70,10 +67,7 @@ class PnlBreakdown(_Record):
     def __init__(
         self, carry: float, mark_to_market: float, total: float, remaining_annuities: Triple
     ) -> None:
-        object.__setattr__(self, "carry", carry)
-        object.__setattr__(self, "mark_to_market", mark_to_market)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "remaining_annuities", remaining_annuities)
+        self._set(carry, mark_to_market, total, remaining_annuities)
 
 
 class SafetyCheck(_Record):
@@ -95,10 +89,7 @@ class SafetyCheck(_Record):
         instantaneous_margin: float,
         binding_margin: float,
     ) -> None:
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "shifted_yield_margin", shifted_yield_margin)
-        object.__setattr__(self, "instantaneous_margin", instantaneous_margin)
-        object.__setattr__(self, "binding_margin", binding_margin)
+        self._set(passed, shifted_yield_margin, instantaneous_margin, binding_margin)
 
 
 class ArbitrageCandidate(_Record):
@@ -114,10 +105,7 @@ class ArbitrageCandidate(_Record):
     def __init__(
         self, indices: tuple[int, int, int], legs: tuple, margin: float, butterfly: Butterfly
     ) -> None:
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "legs", legs)
-        object.__setattr__(self, "margin", margin)
-        object.__setattr__(self, "butterfly", butterfly)
+        self._set(indices, legs, margin, butterfly)
 
 
 def zero_butterfly(t1: float, t2: float, t3: float) -> Butterfly:
@@ -145,9 +133,13 @@ def zero_butterfly_pnl(fly: Butterfly, yields: Triple, shift: float, horizon: fl
     """
     if fly.kind != ZERO_BOND:
         raise ValueError(f"expected a zero_bond butterfly, got kind {fly.kind!r}")
-    t1, t2, t3 = fly.legs
-    if not 0.0 < t1 < t2 < t3:  # a hand-built butterfly's legs, NaN included
-        raise ValueError(f"maturities must satisfy 0 < t1 < t2 < t3, got {(t1, t2, t3)}")
+    legs = fly.legs
+    try:  # a hand-built butterfly's legs: three numbers in order, so not NaN
+        t1, t2, t3 = legs = tuple(legs)
+        if not 0.0 < t1 < t2 < t3:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(f"maturities must satisfy 0 < t1 < t2 < t3, got {legs}") from None
     if not 0.0 <= horizon <= t1:
         raise ValueError(
             f"horizon must lie in [0, first maturity {t1}], got {horizon}"
@@ -259,7 +251,10 @@ def swap_butterfly_pnl(
         raise ValueError(f"expected a swap butterfly, got kind {fly.kind!r}")
     if not 0.0 <= horizon <= 1.0:
         raise ValueError(f"horizon must lie in [0, 1] years, got {horizon}")
-    n, m, k = fly.legs
+    try:
+        n, m, k = fly.legs
+    except (TypeError, ValueError):  # a hand-built butterfly without three legs
+        n = m = k = None
     if not (isinstance(n, int) and isinstance(m, int) and isinstance(k, int) and 1 <= n < m < k):
         raise ValueError(f"need 1 <= n < m < k <= {len(swaps)}, got {fly.legs}")
     if len(swaps) < k:

@@ -62,7 +62,7 @@ def _emit(lines: list[str], out: str | None) -> None:
         if out is None:
             print(text, end="", flush=True)  # no-op when stdout was closed at start
         else:
-            with open(out, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
     except OSError as exc:
         if out is not None:

@@ -73,9 +73,10 @@ def _check_rate_range(rates: tuple[float, ...], what: str) -> None:
 class _Record:
     """Immutable value record: its fields are its ``__init__`` parameters, which
     equality, hashing and the repr use in order; assignment and deletion raise.
-    Each subclass declares its ``__slots__``, so no record has an instance dict,
-    and ``__init__`` sets them with ``object.__setattr__``.  Copies and pickles
-    rebuild a record through its constructor from its fields."""
+    Each subclass declares its ``__slots__``, so no record has an instance dict;
+    the fields lead the slots, in order.  Constructors and the records the library
+    builds itself write the slots through the same setters, ``cls._setters``.
+    Copies and pickles rebuild a record through its constructor from its fields."""
 
     __slots__ = ()
 
@@ -83,10 +84,22 @@ class _Record:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]
         cls._key = attrgetter(*cls._fields)  # the fields' tuple, or the one field
-        # Slot setters in __slots__ order, for records the library builds itself: like
-        # object.__setattr__ they pass the refusal below, at about two thirds of its cost.
-        # Hot loops unpack them into locals once per call and call each once per record.
-        cls._setters = tuple([vars(cls)[name].__set__ for name in cls.__slots__])
+        # Slot setters over the class hierarchy, bases' slots first; they pass the refusal
+        # below.  Constructors call _set, which writes by position, so the fields must lead
+        # the slots; hot loops unpack the setters into locals and call each once per record.
+        namespaces = [vars(base) for base in reversed(cls.__mro__)]
+        slots = {name: ns[name] for ns in namespaces for name in ns.get("__slots__", ())}
+        if tuple(slots)[: len(cls._fields)] != cls._fields:
+            raise TypeError(
+                f"{cls.__qualname__}'s fields {cls._fields} must lead its slots {tuple(slots)}"
+            )
+        cls._setters = tuple([slot.__set__ for slot in slots.values()])
+
+    def _set(self, *values) -> None:
+        """Write ``values`` to the leading slots, in order."""
+        setters = self._setters
+        for i, value in enumerate(values):
+            setters[i](self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -129,8 +142,7 @@ class ZeroCurve(_Record):
             if b <= a:
                 raise ValueError("tenors must be strictly increasing")
         _check_rate_range(yields, "yields")
-        object.__setattr__(self, "tenors", tenors)
-        object.__setattr__(self, "yields", yields)
+        self._set(tenors, yields)
 
     def __len__(self) -> int:
         return len(self.tenors)
@@ -170,7 +182,7 @@ class SwapCurve(_Record):
     def __init__(self, rates: tuple[float, ...]) -> None:
         rates = _as_floats(rates, "rates")
         _check_rate_range(rates, "rates")
-        object.__setattr__(self, "rates", rates)
+        self._set(rates)
 
     def __len__(self) -> int:
         return len(self.rates)
@@ -191,8 +203,7 @@ class DiscountCurve(_Record):
     def __init__(self, factors: tuple[float, ...]) -> None:
         factors = _as_floats(factors, "factors")
         annuities = tuple(accumulate(factors, initial=0.0))[1:]
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "annuities", annuities)
+        self._set(factors, annuities)
 
     @classmethod
     def _computed(cls, factors: tuple[float, ...], annuities: tuple[float, ...]) -> DiscountCurve:
@@ -222,7 +233,7 @@ class ForwardCurve(_Record):
     __slots__ = ("forwards",)
 
     def __init__(self, forwards: tuple[float, ...]) -> None:
-        object.__setattr__(self, "forwards", _as_floats(forwards, "forwards"))
+        self._set(_as_floats(forwards, "forwards"))
 
     def __len__(self) -> int:
         return len(self.forwards)
@@ -234,9 +245,7 @@ class Violation(_Record):
     __slots__ = ("index", "kind", "value")
 
     def __init__(self, index: int, kind: str, value: float) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
+        self._set(index, kind, value)
 
 
 class ValidationReport(_Record):
@@ -245,8 +254,7 @@ class ValidationReport(_Record):
     def __init__(self, ok: bool, violations: tuple[Violation, ...]) -> None:
         if ok != (len(violations) == 0):
             raise ValueError("ok must mirror the absence of violations")
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "violations", violations)
+        self._set(ok, violations)
 
     @classmethod
     def from_violations(cls, violations) -> "ValidationReport":
@@ -266,10 +274,7 @@ class CheckResult(_Record):
     def __init__(
         self, name: str, passed: bool, first_violation: int | None = None, detail: str = ""
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "first_violation", first_violation)
-        object.__setattr__(self, "detail", detail)
+        self._set(name, passed, first_violation, detail)
 
 
 def zero_price(y: float, t: int) -> float:
@@ -412,11 +417,12 @@ def _require_integer_grid(tenors: tuple[float, ...]) -> None:
 
 def _grid_years(indices, size: int) -> tuple[int, int, int]:
     """Years n < m < k on the grid 1..size, or ValueError.  A year is whole as
-    ``operator.index`` decides: numpy integers pass, floats such as 2.0 do not."""
-    n, m, k = indices
-    if 1 <= n < m < k <= size:
-        try:
-            return index(n), index(m), index(k)
-        except TypeError:
-            pass
+    ``operator.index`` decides: numpy integers pass, floats such as 2.0 do not, and
+    neither does anything but three years."""
+    try:
+        n, m, k = map(index, indices)
+        if 1 <= n < m < k <= size:
+            return n, m, k
+    except (TypeError, ValueError):
+        pass
     raise ValueError(f"need 1 <= n < m < k <= {size}, got {indices}")

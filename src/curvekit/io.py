@@ -65,9 +65,7 @@ class CurveFile(_Record):
                 _require_integer_grid(tenors)
             except ValueError as exc:
                 raise CurveFileError(f"{curve_type} {exc}") from None
-        object.__setattr__(self, "curve_type", curve_type)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "label", label)
+        self._set(curve_type, points, label)
 
     @property
     def tenors(self) -> tuple[float, ...]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from operator import index
 from random import Random
 
 from .bootstrap import ShiftScenario, bootstrap, shift_response, shifted_bootstrap
@@ -100,10 +101,7 @@ class VerifyReport(_Record):
     __slots__ = ("rows", "evaluated", "skipped", "failed")
 
     def __init__(self, rows: tuple, evaluated: int, skipped: int, failed: int) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "evaluated", evaluated)
-        object.__setattr__(self, "skipped", skipped)
-        object.__setattr__(self, "failed", failed)
+        self._set(rows, evaluated, skipped, failed)
 
 
 def verify_trials(
@@ -112,9 +110,14 @@ def verify_trials(
     """The shift-response checks on a curve and on ``trials`` perturbations of it.
 
     Trial t jitters the curve's forwards with ``Random(f"{seed}:{t}")``.  A trial
-    whose shifted curve fails validation is skipped, not a finding.  Raises
-    ValueError for negative ``trials`` or when the curve or its shift fails validation.
+    whose shifted curve fails validation is skipped, not a finding.  Raises ValueError
+    for ``trials`` that ``operator.index`` refuses or that are negative, or when the curve
+    or its shift fails validation.
     """
+    try:
+        trials = index(trials)
+    except TypeError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     base = _require_valid(bootstrap(swaps), "input curve")

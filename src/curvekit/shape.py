@@ -52,8 +52,7 @@ class TripleClassification(_Record):
     __slots__ = ("verdict", "margin")
 
     def __init__(self, verdict: str, margin: float) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "margin", margin)
+        self._set(verdict, margin)
 
 
 class ShapeReport(_Record):
@@ -70,8 +69,7 @@ class ShapeReport(_Record):
     def __init__(
         self, triples: tuple[tuple[int, int, int, TripleClassification], ...], overall: str
     ) -> None:
-        object.__setattr__(self, "triples", triples)
-        object.__setattr__(self, "overall", overall)
+        self._set(triples, overall)
 
 
 def _verdict(margin: float, tol: float = CLASSIFY_TOL) -> str:

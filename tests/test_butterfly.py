@@ -124,10 +124,23 @@ class TestZeroButterflyPnl:
             zero_butterfly_pnl(swap_fly, (0.02, 0.03, 0.04), 0.0, 0.0)
 
     @pytest.mark.parametrize(
-        "legs", [(5.0, 2.0, 9.0), (1.0, 1.0, 2.0), (0.0, 1.0, 2.0), (1.0, math.nan, 3.0)]
+        "legs",
+        [
+            (5.0, 2.0, 9.0),
+            (1.0, 1.0, 2.0),
+            (0.0, 1.0, 2.0),
+            (1.0, math.nan, 3.0),
+            ("1", 2, 3),
+            (None, 2.0, 3.0),
+            (1.0, 2.0),
+            (1.0, 2.0, 3.0, 4.0),
+            None,
+            5.0,
+        ],
     )
     def test_hand_built_legs_out_of_order_are_refused(self, legs):
-        # (5.0, 2.0, 9.0) used to price without complaint.
+        # (5.0, 2.0, 9.0) used to price without complaint; legs that are not three
+        # numbers ended in a TypeError or an unpacking message.
         fly = Butterfly(ZERO_BOND, legs, (7.0, 4.0, -3.0))
         with pytest.raises(ValueError) as exc:
             zero_butterfly_pnl(fly, (0.02, 0.03, 0.04), 0.01, 0.0)
@@ -296,7 +309,10 @@ class TestSwapButterfly:
         # Legs that are not whole years used to end in a TypeError at the annuity lookup.
         swaps = SwapCurve((0.05,) * 3)
         whole = ((2, 2, 3), (0, 1, 2), (1, 3, 2), (1, 2, 9))
-        for bad in (*whole, (1.0, 2.0, 3.0), (1.5, 2, 3), (1, 2, 2.5), (1, Fraction(2), 3)):
+        # Legs that are not three numbers ended in a TypeError or an unpacking message.
+        malformed = (("1", 2, 3), (None, 2, 3), None, 5, (1, 2), (1, 2, 3, 4))
+        floats = ((1.0, 2.0, 3.0), (1.5, 2, 3), (1, 2, 2.5), (1, Fraction(2), 3))
+        for bad in (*whole, *floats, *malformed):
             with pytest.raises(ValueError) as exc:
                 swap_butterfly(swaps, bad)
             assert str(exc.value) == f"need 1 <= n < m < k <= 3, got {bad}"
@@ -377,11 +393,26 @@ class TestSwapButterflyPnl:
             swap_butterfly_pnl(zero_fly, swaps, 0.0, 0.0)
 
     @pytest.mark.parametrize(
-        "legs", [(0, 2, 3), (3, 2, 5), (2, 2, 3), (1.0, 2.0, 3.0), (1, 2, 3.0), (1, 2.5, 3)]
+        "legs",
+        [
+            (0, 2, 3),
+            (3, 2, 5),
+            (2, 2, 3),
+            (1.0, 2.0, 3.0),
+            (1, 2, 3.0),
+            (1, 2.5, 3),
+            ("1", 2, 3),
+            (None, 2, 3),
+            (1, 2),
+            (1, 2, 3, 4),
+            None,
+            5,
+        ],
     )
     def test_hand_built_legs_off_the_grid_are_refused(self, legs):
         # (0, 2, 3) used to price year 10 as its first leg, (3, 2, 5) its legs out of
-        # order, and float legs ended in a TypeError.
+        # order, float legs ended in a TypeError, and so did legs that are not three,
+        # or gave an unpacking message.
         swaps = random_swap_curve(Random(4), 10)
         fly = Butterfly(SWAP, legs, (1.0, 2.0, 1.0), (1.0, 2.0, 3.0))
         with pytest.raises(ValueError) as exc:

@@ -111,6 +111,20 @@ class TestBootstrapCommand:
         assert result.stdout == ""
         assert target.read_text().startswith("n,swap_rate")
 
+    @pytest.mark.parametrize("platform_default", ["native", "crlf"])
+    def test_out_file_bytes_equal_stdout(self, flat, tmp_path, monkeypatch, platform_default):
+        # A text file opened without newline= writes "\n" as the platform's line end;
+        # "crlf" opens such files as Windows does.
+        if platform_default == "crlf":
+
+            def crlf_open(file, mode="r", *, newline=None, **kwargs):
+                return open(file, mode, newline="\r\n" if newline is None else newline, **kwargs)
+
+            monkeypatch.setattr(cli, "open", crlf_open, raising=False)
+        target = tmp_path / "table.csv"
+        assert run_cli(["bootstrap", flat, "--out", str(target)]).code == 0
+        assert target.read_bytes() == run_cli(["bootstrap", flat]).stdout.encode("utf-8")
+
 
 class TestConversionCommands:
     def test_par_of_flat_swap_is_identity(self, flat):

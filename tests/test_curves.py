@@ -647,6 +647,50 @@ def test_record_setters_set_the_slots_in_declaration_order(cls):
     assert [getattr(record, name) for name in cls.__slots__] == list(range(len(cls.__slots__)))
 
 
+class PlainCheck(CheckResult):
+    """A subclass with no fields or slots of its own, so it has an instance dict."""
+
+
+class SlottedSwapCurve(SwapCurve):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [(PlainCheck, ("annuity_bound", False, 2, "note")), (SlottedSwapCurve, ((0.01, 0.02),))],
+    ids=["PlainCheck", "SlottedSwapCurve"],
+)
+def test_subclasses_without_fields_work_like_their_base(cls, args):
+    # Both used to break: the first failed at class creation with KeyError: 'name',
+    # the second got no slot setters at all.
+    base = cls.__base__
+    assert cls._fields == base._fields and cls._setters == base._setters
+    record, plain = cls(*args), base(*args)
+    assert slot_dict(record) == slot_dict(plain)
+    assert record == cls(**dict(zip(cls._fields, args))) and record != plain
+    assert hash(record) == hash(plain)
+    assert repr(record) == cls.__qualname__ + repr(plain).removeprefix(base.__qualname__)
+    for round_trip in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        twin = round_trip(record)
+        assert twin == record and type(twin) is cls
+
+
+def test_a_record_whose_fields_do_not_lead_its_slots_is_refused():
+    with pytest.raises(TypeError, match=r"fields \('b', 'a'\) must lead its slots \('a', 'b'\)"):
+
+        class Swapped(curves._Record):
+            __slots__ = ("a", "b")
+
+            def __init__(self, b, a) -> None:
+                self._set(a, b)
+
+    with pytest.raises(TypeError, match=r"fields \('rates', 'tag'\) must lead its slots"):
+
+        class Tagged(SwapCurve):  # a field without a slot
+            def __init__(self, rates, tag) -> None:
+                super().__init__(rates)
+
+
 def test_records_of_different_types_differ_on_equal_values():
     assert SwapCurve((0.01,)) != ForwardCurve((0.01,))
     assert ForwardCurve((0.01,)) != SwapCurve((0.01,))

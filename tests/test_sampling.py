@@ -186,3 +186,24 @@ def test_negative_trial_count_is_refused():
     with pytest.raises(ValueError) as exc:
         verify_trials(SwapCurve((0.05,) * 3), ShiftScenario.parallel(0.01), -1)
     assert str(exc.value) == "trials must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("trials", [2.0, 1.5, "3", None], ids=repr)
+def test_trial_count_that_is_not_whole_is_refused_before_any_bootstrap(monkeypatch, trials):
+    # 2.0 used to validate both curves and then fail in range() with a TypeError;
+    # "3" failed with a TypeError at the sign check.
+    def no_bootstrap(*args):
+        raise AssertionError("bootstrapped before the trial count was checked")
+
+    monkeypatch.setattr(sampling, "bootstrap", no_bootstrap)
+    monkeypatch.setattr(sampling, "shifted_bootstrap", no_bootstrap)
+    with pytest.raises(ValueError) as exc:
+        verify_trials(SwapCurve((0.05,) * 3), ShiftScenario.parallel(0.01), trials)
+    assert str(exc.value) == f"trials must be an integer, got {trials!r}"
+
+
+def test_integer_like_trial_counts_are_accepted():
+    swaps, scenario = SwapCurve((0.05,) * 4), ShiftScenario.parallel(0.01)
+    assert verify_trials(swaps, scenario, True, 3) == verify_trials(swaps, scenario, 1, 3)
+    np = pytest.importorskip("numpy")
+    assert verify_trials(swaps, scenario, np.int64(2), 3) == verify_trials(swaps, scenario, 2, 3)

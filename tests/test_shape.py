@@ -263,7 +263,10 @@ class TestAnnuityPoints:
     def test_index_errors(self):
         # Legs that are not whole years used to end in a TypeError at the annuity lookup.
         base = bootstrap(SwapCurve((0.05,) * 4))
-        for bad in ((0, 1, 2), (1, 1, 3), (2, 3, 9), (1.0, 2.0, 3.0), (1.5, 2, 3), (1, 2, 3.5)):
+        # Legs that are not three numbers ended in a TypeError or an unpacking message.
+        malformed = (("1", 2, 3), (None, 2, 3), None, 5, (1, 2), (1, 2, 3, 4))
+        floats = ((1.0, 2.0, 3.0), (1.5, 2, 3), (1, 2, 3.5))
+        for bad in ((0, 1, 2), (1, 1, 3), (2, 3, 9), *floats, *malformed):
             with pytest.raises(ValueError) as exc:
                 annuity_point_classification(base, base, bad)
             assert str(exc.value) == f"need 1 <= n < m < k <= 4, got {bad}"
