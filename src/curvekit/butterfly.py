@@ -19,13 +19,12 @@ in the README formula map.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import itemgetter, lt
+from operator import itemgetter
 
 from .bootstrap import _recursion, bootstrap
 from .curves import RATE_HI, RATE_LO, SwapCurve, ZeroCurve, _check_rate_range, _Record
 from .curves import _grid_years, _require_tol, _require_valid
-from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins, _require_all_windows, _window_margins
+from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins
 
 ZERO_BOND = "zero_bond"
 SWAP = "swap"
@@ -123,6 +122,18 @@ def zero_butterfly(t1: float, t2: float, t3: float) -> Butterfly:
     return Butterfly(ZERO_BOND, (t1, t2, t3), (w1, w1 + w3, w3))
 
 
+def _three_numbers(values, name: str) -> tuple:
+    """A caller's triple as a tuple of three numbers (values with a float value), or a
+    ValueError naming it: text, None and complex numbers are refused."""
+    try:
+        triple = tuple(values)
+    except TypeError:
+        triple = ()
+    if len(triple) == 3 and all(hasattr(x, "__float__") for x in triple):
+        return triple
+    raise ValueError(f"{name} must be three numbers, got {values!r}")
+
+
 def zero_butterfly_pnl(fly: Butterfly, yields: Triple, shift: float, horizon: float) -> float:
     """Value of a zero-bond butterfly after all yields move by ``shift``.
 
@@ -144,8 +155,8 @@ def zero_butterfly_pnl(fly: Butterfly, yields: Triple, shift: float, horizon: fl
         raise ValueError(
             f"horizon must lie in [0, first maturity {t1}], got {horizon}"
         )
-    y1, y2, y3 = yields
-    w1, w2, w3 = fly.weights
+    y1, y2, y3 = _three_numbers(yields, "yields")
+    w1, w2, w3 = _three_numbers(fly.weights, "weights")
     a, t = shift, horizon
     try:
         value = (
@@ -168,8 +179,8 @@ def nonparallel_weights(moves: Triple, maturities: Triple) -> Triple:
     a1*T1 < a2*T2 < a3*T3.  Equal moves reduce to the zero-butterfly
     weights scaled by the common move.
     """
-    a1, a2, a3 = moves
-    t1, t2, t3 = maturities
+    a1, a2, a3 = _three_numbers(moves, "moves")
+    t1, t2, t3 = _three_numbers(maturities, "maturities")
     w1 = a3 * t3 - a2 * t2
     w3 = a2 * t2 - a1 * t1
     if not (w1 > 0.0 and w3 > 0.0 and w1 + w3 < math.inf):  # a NaN product fails too
@@ -191,14 +202,14 @@ def nonparallel_safe(
     - shifted-yield condition: w1*(y1+a1) + w3*(y3+a3) >= w2*(y2+a2);
     - instantaneous condition: w1*a1*T1 + w3*a3*T3 <= w2*a2*T2.
     """
-    w1, w2, w3 = weights
+    w1, w2, w3 = _three_numbers(weights, "weights")
     if not (w1 > 0.0 and w2 > 0.0 and w3 > 0.0):  # a NaN weight fails too
         raise ValueError("weights must all be positive")
     if not abs((w1 + w3) - w2) <= 1e-9 * max(w1, w2, w3) < math.inf:  # so does an infinite one
         raise ValueError("weights must satisfy w1 + w3 = w2")
-    t1, t2, t3 = maturities
-    y1, y2, y3 = yields
-    a1, a2, a3 = moves
+    t1, t2, t3 = _three_numbers(maturities, "maturities")
+    y1, y2, y3 = yields = _three_numbers(yields, "yields")
+    a1, a2, a3 = moves = _three_numbers(moves, "moves")
     for y, a in zip(yields, moves):
         if not RATE_LO < y + a < RATE_HI:
             raise ValueError(
@@ -251,15 +262,13 @@ def swap_butterfly_pnl(
         raise ValueError(f"expected a swap butterfly, got kind {fly.kind!r}")
     if not 0.0 <= horizon <= 1.0:
         raise ValueError(f"horizon must lie in [0, 1] years, got {horizon}")
-    try:
-        n, m, k = fly.legs
-    except (TypeError, ValueError):  # a hand-built butterfly without three legs
-        n = m = k = None
-    if not (isinstance(n, int) and isinstance(m, int) and isinstance(k, int) and 1 <= n < m < k):
-        raise ValueError(f"need 1 <= n < m < k <= {len(swaps)}, got {fly.legs}")
+    try:  # a hand-built butterfly's legs: whole years in order, as swap_butterfly takes
+        n, m, k = _grid_years(fly.legs, math.inf)
+    except ValueError:
+        raise ValueError(f"need 1 <= n < m < k <= {len(swaps)}, got {fly.legs}") from None
     if len(swaps) < k:
         raise ValueError("curve is shorter than the butterfly's last leg")
-    w1, w2, w3 = fly.weights
+    w1, w2, w3 = _three_numbers(fly.weights, "weights")
     x = swaps.rates
     # Difference form of w1*x_n + w3*x_k - w2*x_m (w2 = w1 + w3): exactly
     # zero on a flat curve and bit-identical to the classification margin
@@ -283,7 +292,7 @@ def swap_butterfly_pnl(
 
 
 def _scan_hits(curve: ZeroCurve | SwapCurve, kind: str, mode: str, tol: float):
-    """Abscissae, legs per position and the ranked (-margin, i, j, k) hits.
+    """Abscissae, legs per position and the (i, j, k, margin) hits, largest margin first.
 
     The abscissae are tenors (zero-bond kind) or base annuities (swap
     kind); a hit's weights are their differences, as in ``zero_butterfly``
@@ -294,13 +303,17 @@ def _scan_hits(curve: ZeroCurve | SwapCurve, kind: str, mode: str, tol: float):
         if not isinstance(curve, ZeroCurve):
             raise ValueError("zero_bond scan expects a ZeroCurve")
         xs, values, legs = curve.tenors, curve.yields, curve.tenors
-        try:
-            prices = [(1.0 + y) ** (-t) for t, y in zip(xs, values)]
-            falling = all(map(lt, prices, chain((1.0,), prices)))
-        except OverflowError:  # a price that overflows does not decrease either
-            falling = False
-        if not falling:
-            _refuse_rising_zero_price(curve)
+        prev = 1.0
+        for pos, (t, y) in enumerate(zip(xs, values), start=1):
+            try:  # a price that overflows does not decrease either
+                p = (1.0 + y) ** (-t)
+            except OverflowError:
+                p = math.inf
+            if p >= prev:
+                raise ValueError(
+                    f"curve fails validation: zero price does not decrease at point {pos}"
+                )
+            prev = p
     elif kind == SWAP:
         if not isinstance(curve, SwapCurve):
             raise ValueError("swap scan expects a SwapCurve")
@@ -309,28 +322,9 @@ def _scan_hits(curve: ZeroCurve | SwapCurve, kind: str, mode: str, tol: float):
     else:
         raise ValueError(f"unknown butterfly kind {kind!r}")
     # Convex as classify_triple decides; a stable sort keeps ties in (i, j, k) order.
-    if mode == CONSECUTIVE:
-        margins = _require_all_windows(_window_margins(xs, values), len(xs))
-        hits = [(-m, i, i + 1, i + 2) for i, m in enumerate(margins) if m > tol]
-    else:
-        hits = [(-m, i, j, k) for i, j, k, m in _margins(zip(xs, values), mode) if m > tol]
-    hits.sort(key=itemgetter(0))
+    hits = [hit for hit in _margins(xs, values, mode) if hit[3] > tol]
+    hits.sort(key=itemgetter(3), reverse=True)
     return xs, legs, hits
-
-
-def _refuse_rising_zero_price(curve: ZeroCurve) -> None:
-    """Name the first point whose zero price does not decrease."""
-    prev = 1.0
-    for pos, (t, y) in enumerate(zip(curve.tenors, curve.yields), start=1):
-        try:  # a price that overflows does not decrease either
-            p = (1.0 + y) ** (-t)
-        except OverflowError:
-            p = math.inf
-        if p >= prev:
-            raise ValueError(
-                f"curve fails validation: zero price does not decrease at point {pos}"
-            )
-        prev = p
 
 
 def scan_arbitrage(
@@ -355,7 +349,7 @@ def scan_arbitrage(
     set_kind, set_fly_legs, set_weights, set_base_annuities = Butterfly._setters
     set_indices, set_legs, set_margin, set_butterfly = ArbitrageCandidate._setters
     candidates = []
-    for neg_margin, i, j, k in hits:
+    for i, j, k, margin in hits:
         w1, w3 = xs[k] - xs[j], xs[j] - xs[i]
         fly_legs = (legs[i], legs[j], legs[k])
         fly = new(Butterfly)
@@ -366,7 +360,7 @@ def scan_arbitrage(
         hit = new(ArbitrageCandidate)
         set_indices(hit, (i + 1, j + 1, k + 1))
         set_legs(hit, fly_legs)
-        set_margin(hit, -neg_margin)
+        set_margin(hit, margin)
         set_butterfly(hit, fly)
         candidates.append(hit)
     return tuple(candidates)

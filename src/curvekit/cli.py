@@ -208,10 +208,10 @@ def cmd_scan(path: str, kind: str, mode: str, tol: float, out: str | None) -> No
     leg = [_fmt(float(x)) for x in legs]
     cell = functools.cache(_fmt)
     lines = ["leg1,leg2,leg3,margin,w1,w2,w3"]
-    for neg_margin, i, j, k in hits:
+    for i, j, k, m in hits:
         w1 = xs[k] - xs[j]
         w3 = xs[j] - xs[i]
-        margin = format(-neg_margin, ".12g")  # a hit's margin exceeds tol >= 0
+        margin = format(m, ".12g")  # a hit's margin exceeds tol >= 0
         lines.append(f"{leg[i]},{leg[j]},{leg[k]},{margin},{cell(w1)},{cell(w1 + w3)},{cell(w3)}")
     _emit(lines, out)
 

@@ -107,7 +107,7 @@ def _window_margins(xs, vs) -> list[float]:
     points (xs[i], vs[i]), as classify_triple's, in window order.
 
     The list stops before the first window whose abscissas do not strictly increase
-    (NaN is no increase); callers refuse a short list with _require_all_windows.
+    (NaN is no increase); callers refuse a list shorter than N-2.
     """
     if not all(map(lt, xs, xs[1:])):
         # The first pair that does not increase ends the first window that holds it.
@@ -119,47 +119,44 @@ def _window_margins(xs, vs) -> list[float]:
     ]
 
 
-def _require_all_windows(margins: list[float], n: int) -> list[float]:
-    """The kernel's margins over n points, refused as _margins refuses unless they
-    cover all N-2 windows."""
+def _margins(xs, vs, mode: str):
+    """The (i, j, k, margin) of the triples ``mode`` scans over the points (xs[i], vs[i]),
+    in (i, j, k) order; margins as classify_triple's.
+
+    Every refusal comes before the first triple, in this order: fewer than 3 points;
+    abscissas that do not strictly increase (NaN is no increase); for any mode but
+    consecutive, an unknown mode and then more than ALL_TRIPLES_CAP points.
+    """
+    n = len(xs)
     if n < 3:
         raise ValueError("shape scan needs at least 3 points")
-    if len(margins) < n - 2:
-        raise ValueError("abscissas must be strictly increasing")
-    return margins
-
-
-def _margins(points, mode: str):
-    """Yield (i, j, k, margin) in (i, j, k) order; margins as classify_triple's."""
-    pts = [(float(x), float(v)) for x, v in points]
-    n = len(pts)
-    if n < 3:
-        raise ValueError("shape scan needs at least 3 points")
-    if mode != CONSECUTIVE and not all(b > a for (a, _), (b, _) in zip(pts, pts[1:])):
-        raise ValueError("abscissas must be strictly increasing")  # NaN is no increase
     if mode == CONSECUTIVE:
-        # Refused per window, as classify_triple: early stops keep its order.
-        margins = _window_margins(*zip(*pts))
-        yield from zip(count(), count(1), count(2), margins)
-        _require_all_windows(margins, n)
-    elif mode == ALL_TRIPLES:
-        if n > ALL_TRIPLES_CAP:
-            raise ValueError(
-                f"all-triples scan over {n} points exceeds the cap of {ALL_TRIPLES_CAP}"
-            )
-        # Right legs (k, x3 - x2, v3 - v2) per middle point j: a triple costs two products.
-        right = [
-            [(k, x3 - x2, v3 - v2) for k, (x3, v3) in enumerate(pts[j + 1 :], j + 1)]
-            for j, (x2, v2) in enumerate(pts)
-        ]
-        for i, (x1, v1) in enumerate(pts):
-            for j in range(i + 1, n):
-                x2, v2 = pts[j]
-                dx, dv = x2 - x1, v1 - v2
-                for k, a, b in right[j]:
-                    yield i, j, k, a * dv + dx * b
-    else:
+        margins = _window_margins(xs, vs)
+        if len(margins) < n - 2:
+            raise ValueError("abscissas must be strictly increasing")
+        return zip(count(), count(1), count(2), margins)
+    if not all(map(lt, xs, xs[1:])):
+        raise ValueError("abscissas must be strictly increasing")
+    if mode != ALL_TRIPLES:
         raise ValueError(f"unknown scan mode {mode!r}")
+    if n > ALL_TRIPLES_CAP:
+        raise ValueError(f"all-triples scan over {n} points exceeds the cap of {ALL_TRIPLES_CAP}")
+    return _all_margins(xs, vs)
+
+
+def _all_margins(xs, vs):
+    """Yield (i, j, k, margin) for every i < j < k, streamed: the cap scan has 1.3M."""
+    n = len(xs)
+    # Right legs (k, x3 - x2, v3 - v2) per middle point j: a triple costs two products.
+    right = [
+        [(k, x3 - x2, v3 - v2) for k, x3, v3 in zip(count(j + 1), xs[j + 1 :], vs[j + 1 :])]
+        for j, (x2, v2) in enumerate(zip(xs, vs))
+    ]
+    for i, (x1, v1) in enumerate(zip(xs, vs)):
+        for j in range(i + 1, n):
+            dx, dv = xs[j] - x1, v1 - vs[j]
+            for k, a, b in right[j]:
+                yield i, j, k, a * dv + dx * b
 
 
 def scan_curve_shape(
@@ -174,10 +171,11 @@ def scan_curve_shape(
     """
     _require_tol(tol, "classification")
     points = [(float(x), float(v)) for x, v in points]
+    xs, vs = [x for x, _ in points], [v for _, v in points]
     new = object.__new__
     set_verdict, set_margin = TripleClassification._setters
     triples = []
-    for i, j, k, margin in _margins(points, mode):
+    for i, j, k, margin in _margins(xs, vs, mode):
         c = new(TripleClassification)
         set_verdict(c, _verdict(margin, tol))
         set_margin(c, margin)

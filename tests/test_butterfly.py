@@ -42,6 +42,21 @@ from curvekit.sampling import (
 from curvekit.shape import CLASSIFY_TOL, _margins, classify_triple
 
 
+# Triples from outside the library that are not three numbers: each is refused naming
+# its argument, where it used to end in an unpacking ValueError or a TypeError.
+NOT_THREE_NUMBERS = [
+    (0.01, 0.02),
+    (0.01, 0.02, 0.03, 0.04),
+    None,
+    0.01,
+    "abc",
+    (0.01, "0.02", 0.03),
+    (0.01, None, 0.03),
+    (0.01, 1j, 0.03),
+]
+NOT_THREE_IDS = ["two", "four", "none", "scalar", "text", "text-item", "none-item", "complex-item"]
+
+
 class TestZeroButterfly:
     def test_unit_spacing_weights(self):
         assert zero_butterfly(1, 2, 3).weights == (1.0, 2.0, 1.0)
@@ -76,6 +91,24 @@ class TestZeroButterfly:
 
 
 class TestZeroButterflyPnl:
+    @pytest.mark.parametrize("yields", NOT_THREE_NUMBERS, ids=NOT_THREE_IDS)
+    def test_yields_that_are_not_three_numbers_are_refused(self, yields):
+        with pytest.raises(ValueError) as exc:
+            zero_butterfly_pnl(zero_butterfly(1, 2, 3), yields, 0.01, 0.5)
+        assert str(exc.value) == f"yields must be three numbers, got {yields!r}"
+
+    @pytest.mark.parametrize("weights", NOT_THREE_NUMBERS, ids=NOT_THREE_IDS)
+    def test_hand_built_weights_that_are_not_three_numbers_are_refused(self, weights):
+        fly = Butterfly(ZERO_BOND, (1.0, 2.0, 3.0), weights)
+        with pytest.raises(ValueError) as exc:
+            zero_butterfly_pnl(fly, (0.02, 0.03, 0.04), 0.01, 0.5)
+        assert str(exc.value) == f"weights must be three numbers, got {weights!r}"
+
+    def test_yields_of_any_number_type_value_as_floats(self):
+        fly = zero_butterfly(1, 2, 3)
+        want = zero_butterfly_pnl(fly, (0.02, 0.03, 1.0), 0.01, 0.5)
+        assert zero_butterfly_pnl(fly, [Fraction(1, 50), 0.03, 1], 0.01, 0.5) == want
+
     def test_inception_value_is_exactly_zero(self):
         fly = zero_butterfly(1, 5, 30)
         assert zero_butterfly_pnl(fly, (0.02, 0.03, 0.04), 0.0, 0.0) == 0.0
@@ -175,6 +208,14 @@ class TestZeroButterflyPnl:
 
 
 class TestNonparallelWeights:
+    @pytest.mark.parametrize("value", NOT_THREE_NUMBERS, ids=NOT_THREE_IDS)
+    @pytest.mark.parametrize("name", ["moves", "maturities"])
+    def test_triples_that_are_not_three_numbers_are_refused(self, name, value):
+        args = {"moves": (0.01, 0.01, 0.02), "maturities": (1.0, 2.0, 3.0), name: value}
+        with pytest.raises(ValueError) as exc:
+            nonparallel_weights(**args)
+        assert str(exc.value) == f"{name} must be three numbers, got {value!r}"
+
     def test_equal_moves_recover_butterfly_weights(self):
         assert nonparallel_weights((1.0, 1.0, 1.0), (1.0, 2.0, 3.0)) == (1.0, 2.0, 1.0)
 
@@ -222,6 +263,21 @@ class TestNonparallelWeights:
 
 
 class TestNonparallelSafe:
+    @pytest.mark.parametrize("value", NOT_THREE_NUMBERS, ids=NOT_THREE_IDS)
+    @pytest.mark.parametrize("name", ["weights", "maturities", "yields", "moves"])
+    def test_triples_that_are_not_three_numbers_are_refused(self, name, value):
+        fly = zero_butterfly(1, 2, 3)
+        args = {
+            "weights": fly.weights,
+            "maturities": fly.legs,
+            "yields": (0.02, 0.025, 0.04),
+            "moves": (0.01, 0.01, 0.01),
+            name: value,
+        }
+        with pytest.raises(ValueError) as exc:
+            nonparallel_safe(**args)
+        assert str(exc.value) == f"{name} must be three numbers, got {value!r}"
+
     def test_parallel_moves_convex_yields_pass(self):
         fly = zero_butterfly(1, 2, 3)
         result = nonparallel_safe(
@@ -330,7 +386,45 @@ class TestSwapButterfly:
             swap_butterfly(SwapCurve((0.2, 0.001, 0.001)), (1, 2, 3))
 
 
+class Year:
+    """A whole year that is not an int, as numpy's integers are: it has __index__."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+    def __repr__(self):
+        return f"Year({self.n})"
+
+
 class TestSwapButterflyPnl:
+    def test_legs_that_are_whole_by_index_are_priced(self):
+        # Legs (numpy.int64(1), 2, 3) were refused although swap_butterfly takes them.
+        swaps = SwapCurve((0.02, 0.025, 0.03, 0.035))
+        fly = swap_butterfly(swaps, (Year(1), 2, Year(3)))
+        assert fly == swap_butterfly(swaps, (1, 2, 3))
+        hand_built = Butterfly(SWAP, (Year(1), 2, Year(3)), fly.weights, fly.base_annuities)
+        assert swap_butterfly_pnl(hand_built, swaps, 0.01, 0.5) == swap_butterfly_pnl(
+            fly, swaps, 0.01, 0.5
+        )
+
+    @pytest.mark.parametrize("weights", NOT_THREE_NUMBERS, ids=NOT_THREE_IDS)
+    def test_hand_built_weights_that_are_not_three_numbers_are_refused(self, weights):
+        swaps = SwapCurve((0.02, 0.025, 0.03, 0.035))
+        hand_built = Butterfly(SWAP, (1, 2, 3), weights, (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError) as exc:
+            swap_butterfly_pnl(hand_built, swaps, 0.01, 0.5)
+        assert str(exc.value) == f"weights must be three numbers, got {weights!r}"
+
+    def test_whole_legs_past_the_curve_are_refused(self):
+        swaps = SwapCurve((0.02, 0.025, 0.03, 0.035))
+        hand_built = Butterfly(SWAP, (Year(1), 2, Year(5)), (1.0, 2.0, 1.0), (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError) as exc:
+            swap_butterfly_pnl(hand_built, swaps, 0.01, 0.5)
+        assert str(exc.value) == "curve is shorter than the butterfly's last leg"
+
     def test_flat_curve_carry_is_exactly_zero(self):
         for legs in ((1, 2, 3), (1, 3, 4), (2, 3, 4)):
             swaps = SwapCurve((0.05,) * 4)
@@ -590,7 +684,7 @@ def reference_candidates(curve, kind, mode):
         xs, values, legs = curve.tenors, curve.yields, curve.tenors
     else:
         xs, values, legs = bootstrap(curve).annuities, curve.rates, range(1, len(curve) + 1)
-    margins = _margins(zip(xs, values), mode)
+    margins = _margins(xs, values, mode)
     candidates = []
     for neg_margin, i, j, k in sorted((-m, i, j, k) for i, j, k, m in margins if m > CLASSIFY_TOL):
         w1, w3 = xs[k] - xs[j], xs[j] - xs[i]

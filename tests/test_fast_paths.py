@@ -36,7 +36,14 @@ from curvekit.curves import (
     zeros_from_discounts,
 )
 from curvekit.sampling import random_discount_curve, random_swap_curve
-from curvekit.shape import CLASSIFY_TOL, CONSECUTIVE, _margins, scan_curve_shape
+from curvekit.shape import (
+    ALL_TRIPLES,
+    ALL_TRIPLES_CAP,
+    CLASSIFY_TOL,
+    CONSECUTIVE,
+    _margins,
+    scan_curve_shape,
+)
 
 # -- the loops the fast paths replaced ---------------------------------------
 
@@ -271,8 +278,49 @@ def drained(margins):
 
 @given(points=consecutive_points())
 @settings(max_examples=200, deadline=None)
-def test_consecutive_margins_yield_the_windows_before_a_refusal(points):
-    assert drained(_margins(points, CONSECUTIVE)) == drained(reference_consecutive_margins(points))
+def test_consecutive_margins_refuse_before_the_first_window(points):
+    # The reference yields the windows before a refusal; _margins refuses when called.
+    want = drained(reference_consecutive_margins(points))
+    xs, vs = [x for x, _ in points], [v for _, v in points]
+    if isinstance(want[-1], str):
+        with pytest.raises(ValueError) as refused:
+            _margins(xs, vs, CONSECUTIVE)
+        assert str(refused.value) == want[-1]
+    else:
+        assert drained(_margins(xs, vs, CONSECUTIVE)) == want
+
+
+OVER_CAP = [float(x) for x in range(1, ALL_TRIPLES_CAP + 2)]
+
+
+@pytest.mark.parametrize(
+    "xs, mode, message",
+    [
+        ([1.0, 1.0], "bogus", "shape scan needs at least 3 points"),
+        ([1.0, 1.0], CONSECUTIVE, "shape scan needs at least 3 points"),
+        ([1.0, math.nan, 3.0], CONSECUTIVE, "abscissas must be strictly increasing"),
+        ([1.0, 2.0, 3.0, 3.0], CONSECUTIVE, "abscissas must be strictly increasing"),
+        (OVER_CAP[:-1] + [0.5], "bogus", "abscissas must be strictly increasing"),
+        (OVER_CAP[:-1] + [0.5], ALL_TRIPLES, "abscissas must be strictly increasing"),
+        (OVER_CAP, "bogus", "unknown scan mode 'bogus'"),
+        (OVER_CAP, ALL_TRIPLES, "all-triples scan over 201 points exceeds the cap of 200"),
+    ],
+    ids=[
+        "short-before-unknown-mode",
+        "short-consecutive",
+        "nan-window",
+        "last-window-tied",
+        "falling-before-unknown-mode",
+        "falling-before-cap",
+        "unknown-mode-before-cap",
+        "cap",
+    ],
+)
+def test_margins_refuse_when_called_in_precedence_order(xs, mode, message):
+    # Called, not iterated: every refusal comes before the first triple.
+    with pytest.raises(ValueError) as refused:
+        _margins(xs, [0.0] * len(xs), mode)
+    assert str(refused.value) == message
 
 
 @st.composite

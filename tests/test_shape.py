@@ -200,7 +200,7 @@ class TestMarginGenerator:
     )
     def test_all_triples_margins_are_classify_triples_bit_for_bit(self, points):
         # Streamed: the 200-point curve has 1,313,400 triples.
-        got = _margins(points, ALL_TRIPLES)
+        got = _margins(*zip(*points), ALL_TRIPLES)
         want = combinations(range(len(points)), 3)
         mismatches = [
             (i, j, k)
@@ -212,7 +212,7 @@ class TestMarginGenerator:
 
     def test_consecutive_margins_are_classify_triples_bit_for_bit(self):
         points = annuity_points(40, 4)
-        got = [(i, j, k, m.hex()) for i, j, k, m in _margins(points, CONSECUTIVE)]
+        got = [(i, j, k, m.hex()) for i, j, k, m in _margins(*zip(*points), CONSECUTIVE)]
         want = [
             (i, i + 1, i + 2, classify_triple(points[i : i + 3]).margin.hex())
             for i in range(len(points) - 2)
@@ -229,7 +229,7 @@ class TestScanCurveShapePinning:
         for points in (zero_points(45, 5), annuity_points(40, 6), flat):
             want = tuple(
                 (i, j, k, TripleClassification(_verdict(m, tol), m))
-                for i, j, k, m in _margins(points, mode)
+                for i, j, k, m in _margins(*zip(*points), mode)
             )
             convex = any(c.verdict == CONVEX for *_, c in want)
             got = scan_curve_shape(points, mode, tol)
