@@ -127,13 +127,11 @@ def _recursion(rates, strict: bool) -> tuple[list[float], list[float]]:
     factors, annuities = [], []
     annuity = 0.0
     prev = 1.0
-    for n, x in enumerate(rates, start=1):
+    for x in rates:
         p = (1.0 - x * annuity) / (1.0 + x)
-        if strict:
-            if p <= MONOTONE_TOL:
-                raise BootstrapError(n, NON_POSITIVE_DISCOUNT, p)
-            if p >= prev - MONOTONE_TOL:
-                raise BootstrapError(n, NON_DECREASING_DISCOUNT, p)
+        if strict and not MONOTONE_TOL < p < prev - MONOTONE_TOL:  # rates in range: p is finite
+            kind = NON_POSITIVE_DISCOUNT if p <= MONOTONE_TOL else NON_DECREASING_DISCOUNT
+            raise BootstrapError(len(factors) + 1, kind, p)
         factors.append(p)
         annuity += p
         annuities.append(annuity)

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
+from sys import float_info
 
 from .bootstrap import _recursion, bootstrap
 from .curves import RATE_HI, RATE_LO, SwapCurve, ZeroCurve, _check_rate_range, _Record
-from .curves import _grid_years, _require_tol, _require_valid
+from .curves import MONOTONE_TOL, _grid_years, _require_tol, _require_valid
 from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins
 
 ZERO_BOND = "zero_bond"
@@ -140,7 +141,8 @@ def zero_butterfly_pnl(fly: Butterfly, yields: Triple, shift: float, horizon: fl
     Each leg of initial yield y and maturity T revalues, ``horizon``
     years on, to exp(-shift * (T - horizon) + y * horizon) per unit
     invested (continuous compounding).  At shift 0 and horizon 0 the
-    value is exactly zero.  A value beyond float range raises ValueError.
+    value is exactly zero.  A shift, then a yield, that is not finite as a
+    float raises ValueError first; so does a value beyond float range.
     """
     if fly.kind != ZERO_BOND:
         raise ValueError(f"expected a zero_bond butterfly, got kind {fly.kind!r}")
@@ -157,6 +159,10 @@ def zero_butterfly_pnl(fly: Butterfly, yields: Triple, shift: float, horizon: fl
         )
     y1, y2, y3 = _three_numbers(yields, "yields")
     w1, w2, w3 = _three_numbers(fly.weights, "weights")
+    if not abs(shift) <= float_info.max:  # NaN, infinities and ints beyond float range fail
+        raise ValueError("shift amount must be finite")
+    if not all([abs(y) <= float_info.max for y in (y1, y2, y3)]):
+        raise ValueError(f"yields must be finite, got {yields!r}")
     a, t = shift, horizon
     try:
         value = (
@@ -237,7 +243,7 @@ def swap_butterfly(swaps: SwapCurve, indices: tuple[int, int, int]) -> Butterfly
     discount curve raises rather than producing meaningless weights.
     """
     n, m, k = _grid_years(indices, len(swaps))
-    annuities = bootstrap(swaps, strict=True).annuities
+    annuities = _recursion(swaps.rates, True)[1]
     a_n, a_m, a_k = annuities[n - 1], annuities[m - 1], annuities[k - 1]
     w1 = a_k - a_m
     w3 = a_m - a_n
@@ -257,6 +263,10 @@ def swap_butterfly_pnl(
     annuity minus the elapsed share of the shifted first-year factor.
     An instantaneous view is horizon = 0, where A is the shifted annuity
     itself.
+
+    Each shift is one pass over the rates.  Its refusals come in order: a
+    shift not finite as a float, the first shifted rate out of range, then
+    the first invalid shifted factor (BootstrapError).
     """
     if fly.kind != SWAP:
         raise ValueError(f"expected a swap butterfly, got kind {fly.kind!r}")
@@ -274,21 +284,35 @@ def swap_butterfly_pnl(
     # zero on a flat curve and bit-identical to the classification margin
     # of the (annuity, rate) triple.
     carry = horizon * (w1 * (x[n - 1] - x[m - 1]) + w3 * (x[k - 1] - x[m - 1]))
-    # The checks and annuities of a strict bootstrap of the shifted rates, building no curve.
-    amount = float(shift)
-    if not math.isfinite(amount):
+    if not abs(shift) <= float_info.max:  # NaN, infinities and ints beyond float range fail
         raise ValueError("shift amount must be finite")
-    rates = [r + amount for r in x]
-    _check_rate_range(rates, "rates")
-    _, annuities = _recursion(rates, True)
+    amount = float(shift)
+    # One pass shifts, range-tests and recurses; at a failing year the reference path refuses.
+    annuities, annuity, prev = [], 0.0, 1.0
+    for r in x:
+        r += amount
+        if not RATE_LO < r < RATE_HI:
+            break
+        p = (1.0 - r * annuity) / (1.0 + r)
+        if not MONOTONE_TOL < p < prev - MONOTONE_TOL:
+            break
+        annuity += p
+        annuities.append(annuity)
+        prev = p
+    if len(annuities) < len(x):
+        rates = [r + amount for r in x]
+        _check_rate_range(rates, "rates")
+        annuities = _recursion(rates, True)[1]
     elapsed = horizon * annuities[0]  # the first factor: the sums start from 0.0
-    remaining = tuple(annuities[i - 1] - elapsed for i in (n, m, k))
-    mark = (
-        -shift * w1 * remaining[0]
-        - shift * w3 * remaining[2]
-        + shift * w2 * remaining[1]
-    )
-    return PnlBreakdown(carry, mark, carry + mark, remaining)
+    remaining = (annuities[n - 1] - elapsed, annuities[m - 1] - elapsed, annuities[k - 1] - elapsed)
+    mark = -shift * w1 * remaining[0] - shift * w3 * remaining[2] + shift * w2 * remaining[1]
+    set_carry, set_mark, set_total, set_remaining = PnlBreakdown._setters
+    pnl = object.__new__(PnlBreakdown)
+    set_carry(pnl, carry)
+    set_mark(pnl, mark)
+    set_total(pnl, carry + mark)
+    set_remaining(pnl, remaining)
+    return pnl
 
 
 def _scan_hits(curve: ZeroCurve | SwapCurve, kind: str, mode: str, tol: float):

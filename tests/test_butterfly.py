@@ -104,6 +104,38 @@ class TestZeroButterflyPnl:
             zero_butterfly_pnl(fly, (0.02, 0.03, 0.04), 0.01, 0.5)
         assert str(exc.value) == f"weights must be three numbers, got {weights!r}"
 
+    @pytest.mark.parametrize(
+        "shift",
+        [math.nan, math.inf, -math.inf, 10**400, -(10**400)],
+        ids=["nan", "inf", "-inf", "int-beyond-float", "-int-beyond-float"],
+    )
+    def test_a_shift_that_is_not_finite_is_refused(self, shift):
+        # A NaN shift was reported as an overflow "at shift nan"; +inf valued to 0.0.
+        with pytest.raises(ValueError) as exc:
+            zero_butterfly_pnl(zero_butterfly(1, 2, 3), (0.01, 0.02, 0.03), shift, 0.5)
+        assert str(exc.value) == "shift amount must be finite"
+
+    @pytest.mark.parametrize(
+        "yields",
+        [
+            (math.nan, 0.02, 0.03),
+            (0.01, math.inf, 0.03),
+            (0.01, 0.02, -math.inf),
+            [0.01, 0.02, 10**400],
+        ],
+        ids=["nan", "inf", "-inf", "int-beyond-float"],
+    )
+    def test_yields_that_are_not_finite_are_refused(self, yields):
+        # A NaN yield was reported as "butterfly value overflows at shift 0.01".
+        fly = zero_butterfly(1, 2, 3)
+        for horizon in (0.0, 0.5):
+            with pytest.raises(ValueError) as exc:
+                zero_butterfly_pnl(fly, yields, 0.01, horizon)
+            assert str(exc.value) == f"yields must be finite, got {yields!r}"
+        with pytest.raises(ValueError) as exc:
+            zero_butterfly_pnl(fly, yields, math.nan, 0.5)
+        assert str(exc.value) == "shift amount must be finite"
+
     def test_yields_of_any_number_type_value_as_floats(self):
         fly = zero_butterfly(1, 2, 3)
         want = zero_butterfly_pnl(fly, (0.02, 0.03, 1.0), 0.01, 0.5)
@@ -418,6 +450,17 @@ class TestSwapButterflyPnl:
             swap_butterfly_pnl(hand_built, swaps, 0.01, 0.5)
         assert str(exc.value) == f"weights must be three numbers, got {weights!r}"
 
+    @pytest.mark.parametrize(
+        "shift", [10**400, -(10**400)], ids=["int-beyond-float", "-int-beyond-float"]
+    )
+    def test_a_shift_beyond_float_range_is_refused(self, shift):
+        # float(10**400) let an OverflowError escape.
+        swaps = SwapCurve((0.02, 0.025, 0.035))
+        fly = swap_butterfly(swaps, (1, 2, 3))
+        with pytest.raises(ValueError) as exc:
+            swap_butterfly_pnl(fly, swaps, shift, 0.5)
+        assert str(exc.value) == "shift amount must be finite"
+
     def test_whole_legs_past_the_curve_are_refused(self):
         swaps = SwapCurve((0.02, 0.025, 0.03, 0.035))
         hand_built = Butterfly(SWAP, (Year(1), 2, Year(5)), (1.0, 2.0, 1.0), (1.0, 2.0, 3.0))
@@ -626,6 +669,68 @@ class TestSwapButterflyPnlPinning:
             got = pnl_outcome(fly, swaps, shift, 0.5)
             assert got == pnl_outcome(fly, swaps, shift, 0.5, reference_swap_pnl)
             assert got[0] is BootstrapError
+
+    def test_a_rate_out_of_range_is_refused_before_an_earlier_invalid_factor(self):
+        # Shifted by +5%, year 2's factor stops decreasing before rates[3] leaves the
+        # range: the single pass stops at year 2, and the range refusal still wins.
+        swaps = SwapCurve((0.2, 0.001, 0.001, 0.97))
+        fly = Butterfly(SWAP, (1, 2, 3), (1.0, 2.0, 1.0), (1.0, 2.0, 3.0))
+        with pytest.raises(BootstrapError) as exc:
+            bootstrap(SwapCurve([r + 0.05 for r in swaps.rates[:3]]), strict=True)
+        assert exc.value.index == 2
+        got = pnl_outcome(fly, swaps, 0.05, 0.5)
+        assert got == pnl_outcome(fly, swaps, 0.05, 0.5, reference_swap_pnl)
+        assert got[:2] == (ValueError, "rates[3] = 1.02 outside the supported range (-0.5, 1.0)")
+
+    def test_matches_the_reference_on_sampled_curves(self):
+        outcomes = set()
+
+        @given(
+            seed=st.integers(0, 10_000),
+            n=st.integers(3, 300),
+            shift=st.floats(-0.6, 1.1),
+            horizon=st.sampled_from((0.0, 0.5, 1.0)),
+        )
+        @settings(max_examples=150, deadline=None)
+        def check(seed, n, shift, horizon):
+            rng = Random(seed)
+            swaps = random_nondecreasing_swap_curve(rng, n, 0.01, 0.06)
+            fly = swap_butterfly(swaps, tuple(sorted(rng.sample(range(1, n + 1), 3))))
+            got = pnl_outcome(fly, swaps, shift, horizon)
+            assert got == pnl_outcome(fly, swaps, shift, horizon, reference_swap_pnl)
+            outcomes.add(got[0])
+
+        check()
+        assert outcomes == {PnlBreakdown, BootstrapError, ValueError}
+
+    @pytest.mark.parametrize("n", [3, 20, 100, 1000])
+    def test_swap_butterfly_matches_the_strict_bootstrap(self, n):
+        # At n=1000 the float par rates of random_swap_curve bootstrap to an invalid
+        # factor, and only low forwards keep a sampled curve valid.
+        outcomes = set()
+        rng = Random(n)
+        curves = [random_swap_curve(rng, n) for _ in range(3)]
+        curves += [random_nondecreasing_swap_curve(rng, n, 0.01, 0.02) for _ in range(3)]
+        for swaps in curves:
+            legs = tuple(sorted(rng.sample(range(1, n + 1), 3)))
+            try:
+                annuities = bootstrap(swaps, strict=True).annuities
+            except BootstrapError as want:
+                with pytest.raises(BootstrapError) as exc:
+                    swap_butterfly(swaps, legs)
+                got = exc.value
+                assert (str(got), got.index, got.kind, got.value.hex()) == (
+                    str(want), want.index, want.kind, want.value.hex()
+                )
+                outcomes.add(BootstrapError)
+                continue
+            a_n, a_m, a_k = (annuities[i - 1] for i in legs)
+            fly = swap_butterfly(swaps, legs)
+            assert [v.hex() for v in fly.base_annuities] == [a.hex() for a in (a_n, a_m, a_k)]
+            want = (a_k - a_m, (a_k - a_m) + (a_m - a_n), a_m - a_n)
+            assert [v.hex() for v in fly.weights] == [w.hex() for w in want]
+            outcomes.add(Butterfly)
+        assert outcomes == ({Butterfly, BootstrapError} if n == 1000 else {Butterfly})
 
 
 def antisymmetric_zero_curve(n=15, seed=6):
