@@ -6,7 +6,7 @@ checks, convexity classification of curve triples, and zero-cost
 butterfly construction with shift P&L and arbitrage scans.
 """
 
-__version__ = "0.4.5"
+__version__ = "0.4.6"
 
 from .bootstrap import (
     BootstrapError,
@@ -60,50 +60,7 @@ from .shape import (
     scan_curve_shape,
 )
 
-__all__ = [
-    "ArbitrageCandidate",
-    "BootstrapError",
-    "Butterfly",
-    "CheckResult",
-    "CurveFile",
-    "CurveFileError",
-    "DiscountCurve",
-    "ForwardCurve",
-    "PnlBreakdown",
-    "SafetyCheck",
-    "ShapeReport",
-    "ShiftScenario",
-    "SwapCurve",
-    "TripleClassification",
-    "ValidationReport",
-    "Violation",
-    "ZeroCurve",
-    "annuity_point_classification",
-    "apply_shift",
-    "bootstrap",
-    "check_annuity_bound",
-    "check_annuity_ratio_decreasing",
-    "check_parallel_brackets",
-    "check_parallel_discount_drop",
-    "classify_triple",
-    "discounts_from_zeros",
-    "forward_rates",
-    "nonparallel_safe",
-    "nonparallel_weights",
-    "par_rates",
-    "ratio_monotonicity",
-    "read_curve_file",
-    "scan_arbitrage",
-    "scan_curve_shape",
-    "shift_response",
-    "shifted_bootstrap",
-    "swap_butterfly",
-    "swap_butterfly_pnl",
-    "swap_rates_from_discounts",
-    "validate",
-    "zero_butterfly",
-    "zero_butterfly_pnl",
-    "zero_price",
-    "zero_yield_from_price",
-    "zeros_from_discounts",
-]
+# Every name imported above is public; the submodules bound as a side effect are not.
+__all__ = sorted(
+    name for name, value in globals().items() if name[0] != "_" and type(value).__name__ != "module"
+)

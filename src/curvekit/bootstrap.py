@@ -21,9 +21,9 @@ index is reportable, not just a boolean.
 
 from __future__ import annotations
 
-import math
 import operator
 
+from . import _args
 from .curves import (
     MONOTONE_TOL,
     NON_DECREASING_DISCOUNT,
@@ -60,7 +60,7 @@ class BootstrapError(ValueError):
 
 
 class ShiftScenario(_Record):
-    """Additive shift of a swap curve: one amount, or one per tenor."""
+    """Additive shift of a swap curve: one amount, or one per tenor, each a finite number."""
 
     __slots__ = ("kind", "amount", "amounts")
 
@@ -70,29 +70,26 @@ class ShiftScenario(_Record):
         if kind == PARALLEL:
             if amount is None or amounts is not None:
                 raise ValueError("parallel shift takes a single amount")
-            if not math.isfinite(amount):
-                raise ValueError("shift amount must be finite")
+            amount = _args.number(amount, "shift amount")
         elif kind == PER_TENOR:
             if amounts is None or amount is not None:
                 raise ValueError("per-tenor shift takes a vector of amounts")
-            amounts = tuple(float(a) for a in amounts)
-            for a in amounts:
-                if not math.isfinite(a):
-                    raise ValueError("shift amounts must be finite")
+            amounts = _args.floats(amounts, "shift amounts")
         else:
             raise ValueError(f"unknown shift kind {kind!r}")
         self._set(kind, amount, amounts)
 
     @classmethod
     def parallel(cls, amount: float) -> "ShiftScenario":
-        return cls(PARALLEL, amount=float(amount))
+        return cls(PARALLEL, amount=amount)
 
     @classmethod
     def per_tenor(cls, amounts) -> "ShiftScenario":
         return cls(PER_TENOR, amounts=amounts)
 
     def amounts_for(self, n: int) -> tuple[float, ...]:
-        """The per-tenor amounts for a curve of length n."""
+        """The per-tenor amounts for a curve of length n, an integer."""
+        n = _args.whole(n, "curve length")
         if self.kind == PARALLEL:
             return (self.amount,) * n
         if len(self.amounts) != n:
@@ -246,11 +243,15 @@ def check_parallel_brackets(swaps: SwapCurve, y: float) -> CheckResult:
     decomposition is degenerate by construction: b1 = 0 and b2 = y
     exactly; both inequalities are strict from year 2 on.
     """
+    return _parallel_brackets(*_rise(swaps, y, "bracket decomposition"))
+
+
+def _rise(swaps: SwapCurve, y: float, what: str) -> tuple[DiscountCurve, DiscountCurve, float]:
+    """(base, shifted, y) of a parallel rise y, or ValueError unless y is a finite number > 0."""
+    y = _args.number(y, "rise y")
     if y <= 0.0:
-        raise ValueError("bracket decomposition is defined for a rise y > 0")
-    return _parallel_brackets(
-        bootstrap(swaps), shifted_bootstrap(swaps, ShiftScenario.parallel(y)), y
-    )
+        raise ValueError(f"{what} is defined for a rise y > 0")
+    return bootstrap(swaps), shifted_bootstrap(swaps, ShiftScenario.parallel(y)), y
 
 
 def _parallel_brackets(base: DiscountCurve, shifted: DiscountCurve, y: float) -> CheckResult:
@@ -260,33 +261,20 @@ def _parallel_brackets(base: DiscountCurve, shifted: DiscountCurve, y: float) ->
         b1 = p_base / a_base - p_shift / a_shift
         b2 = 1.0 / a_shift - 1.0 / a_base
         if b1 < -MONOTONE_TOL or b1 > y + MONOTONE_TOL:
-            return CheckResult(
-                "bracket_identity", False, n, f"share bracket {b1:.3e} outside [0, {y}]"
-            )
-        if b2 < -MONOTONE_TOL or b2 > y + MONOTONE_TOL:
-            return CheckResult(
-                "bracket_identity",
-                False,
-                n,
-                f"annuity bracket {b2:.3e} outside [0, {y}]",
-            )
-        if abs(b1 + b2 - y) > MONOTONE_TOL:
-            return CheckResult(
-                "bracket_identity",
-                False,
-                n,
-                f"brackets sum to {b1 + b2:.3e}, expected {y}",
-            )
+            detail = f"share bracket {b1:.3e} outside [0, {y}]"
+        elif b2 < -MONOTONE_TOL or b2 > y + MONOTONE_TOL:
+            detail = f"annuity bracket {b2:.3e} outside [0, {y}]"
+        elif abs(b1 + b2 - y) > MONOTONE_TOL:
+            detail = f"brackets sum to {b1 + b2:.3e}, expected {y}"
+        else:
+            continue
+        return CheckResult("bracket_identity", False, n, detail)
     return CheckResult("bracket_identity", True)
 
 
 def check_parallel_discount_drop(swaps: SwapCurve, y: float) -> CheckResult:
     """A parallel rise y > 0 strictly lowers every discount factor."""
-    if y <= 0.0:
-        raise ValueError("discount drop is defined for a rise y > 0")
-    return _parallel_discount_drop(
-        bootstrap(swaps), shifted_bootstrap(swaps, ShiftScenario.parallel(y))
-    )
+    return _parallel_discount_drop(*_rise(swaps, y, "discount drop")[:2])
 
 
 def _parallel_discount_drop(base: DiscountCurve, shifted: DiscountCurve) -> CheckResult:
@@ -304,11 +292,7 @@ def check_annuity_ratio_decreasing(swaps: SwapCurve, y: float) -> CheckResult:
     The reported index is the first position n whose ratio fails to
     exceed the ratio at n+1.
     """
-    if y <= 0.0:
-        raise ValueError("annuity ratio monotonicity is defined for a rise y > 0")
-    return _annuity_ratio_decreasing(
-        bootstrap(swaps), shifted_bootstrap(swaps, ShiftScenario.parallel(y))
-    )
+    return _annuity_ratio_decreasing(*_rise(swaps, y, "annuity ratio monotonicity")[:2])
 
 
 def _annuity_ratio_decreasing(base: DiscountCurve, shifted: DiscountCurve) -> CheckResult:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from sys import float_info
 
+from . import _args
 from .bootstrap import _recursion, bootstrap
 from .curves import RATE_HI, RATE_LO, SwapCurve, ZeroCurve, _check_rate_range, _Record
-from .curves import MONOTONE_TOL, _grid_years, _require_tol, _require_valid
+from .curves import MONOTONE_TOL, _require_valid
 from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins
 
 ZERO_BOND = "zero_bond"
@@ -113,26 +113,15 @@ def zero_butterfly(t1: float, t2: float, t3: float) -> Butterfly:
 
     The weights (t3 - t2, t3 - t1, t2 - t1) are the unique solution, up
     to scale, of zero cost (w1 + w3 = w2) combined with zero weighted
-    maturity exposure (w1*t1 + w3*t3 = w2*t2).
+    maturity exposure (w1*t1 + w3*t3 = w2*t2).  Each maturity must be a
+    finite number.
     """
-    t1, t2, t3 = float(t1), float(t2), float(t3)
+    t1, t2, t3 = map(_args.number, (t1, t2, t3), ("t1", "t2", "t3"))
     if not 0.0 < t1 < t2 < t3:
         raise ValueError(f"maturities must satisfy 0 < t1 < t2 < t3, got {(t1, t2, t3)}")
     w1 = t3 - t2
     w3 = t2 - t1
     return Butterfly(ZERO_BOND, (t1, t2, t3), (w1, w1 + w3, w3))
-
-
-def _three_numbers(values, name: str) -> tuple:
-    """A caller's triple as a tuple of three numbers (values with a float value), or a
-    ValueError naming it: text, None and complex numbers are refused."""
-    try:
-        triple = tuple(values)
-    except TypeError:
-        triple = ()
-    if len(triple) == 3 and all(hasattr(x, "__float__") for x in triple):
-        return triple
-    raise ValueError(f"{name} must be three numbers, got {values!r}")
 
 
 def zero_butterfly_pnl(fly: Butterfly, yields: Triple, shift: float, horizon: float) -> float:
@@ -141,29 +130,24 @@ def zero_butterfly_pnl(fly: Butterfly, yields: Triple, shift: float, horizon: fl
     Each leg of initial yield y and maturity T revalues, ``horizon``
     years on, to exp(-shift * (T - horizon) + y * horizon) per unit
     invested (continuous compounding).  At shift 0 and horizon 0 the
-    value is exactly zero.  A shift, then a yield, that is not finite as a
-    float raises ValueError first; so does a value beyond float range.
+    value is exactly zero.  Refusals come in order: the legs, a horizon
+    that is not a finite number in [0, t1], a shift, the yields and the
+    weights that are not finite numbers, then a value beyond float range.
     """
     if fly.kind != ZERO_BOND:
         raise ValueError(f"expected a zero_bond butterfly, got kind {fly.kind!r}")
-    legs = fly.legs
-    try:  # a hand-built butterfly's legs: three numbers in order, so not NaN
-        t1, t2, t3 = legs = tuple(legs)
+    try:  # a hand-built butterfly's legs: three finite numbers in order
+        t1, t2, t3 = _args.triple(fly.legs, "maturities")
         if not 0.0 < t1 < t2 < t3:
             raise ValueError
-    except (TypeError, ValueError):
-        raise ValueError(f"maturities must satisfy 0 < t1 < t2 < t3, got {legs}") from None
-    if not 0.0 <= horizon <= t1:
-        raise ValueError(
-            f"horizon must lie in [0, first maturity {t1}], got {horizon}"
-        )
-    y1, y2, y3 = _three_numbers(yields, "yields")
-    w1, w2, w3 = _three_numbers(fly.weights, "weights")
-    if not abs(shift) <= float_info.max:  # NaN, infinities and ints beyond float range fail
-        raise ValueError("shift amount must be finite")
-    if not all([abs(y) <= float_info.max for y in (y1, y2, y3)]):
-        raise ValueError(f"yields must be finite, got {yields!r}")
-    a, t = shift, horizon
+    except ValueError:
+        raise ValueError(f"maturities must satisfy 0 < t1 < t2 < t3, got {fly.legs}") from None
+    t = _args.number(horizon, "horizon")
+    if not 0.0 <= t <= t1:
+        raise ValueError(f"horizon must lie in [0, first maturity {t1}], got {horizon}")
+    a = _args.number(shift, "shift amount")
+    y1, y2, y3 = _args.triple(yields, "yields")
+    w1, w2, w3 = _args.triple(fly.weights, "weights")
     try:
         value = (
             w1 * math.exp(-a * (t1 - t) + y1 * t)
@@ -183,13 +167,13 @@ def nonparallel_weights(moves: Triple, maturities: Triple) -> Triple:
     With products m_i = a_i * T_i the weights are (m3 - m2, m3 - m1,
     m2 - m1); all three must come out positive and finite, which requires
     a1*T1 < a2*T2 < a3*T3.  Equal moves reduce to the zero-butterfly
-    weights scaled by the common move.
+    weights scaled by the common move.  Each triple must be three finite numbers.
     """
-    a1, a2, a3 = _three_numbers(moves, "moves")
-    t1, t2, t3 = _three_numbers(maturities, "maturities")
+    a1, a2, a3 = _args.triple(moves, "moves")
+    t1, t2, t3 = _args.triple(maturities, "maturities")
     w1 = a3 * t3 - a2 * t2
     w3 = a2 * t2 - a1 * t1
-    if not (w1 > 0.0 and w3 > 0.0 and w1 + w3 < math.inf):  # a NaN product fails too
+    if not (w1 > 0.0 and w3 > 0.0 and w1 + w3 < math.inf):  # an overflowing product fails
         raise ValueError(
             "moves must satisfy a1*T1 < a2*T2 < a3*T3 for positive weights, "
             f"got products ({a1 * t1}, {a2 * t2}, {a3 * t3})"
@@ -200,7 +184,7 @@ def nonparallel_weights(moves: Triple, maturities: Triple) -> Triple:
 def nonparallel_safe(
     weights: Triple, maturities: Triple, yields: Triple, moves: Triple
 ) -> SafetyCheck:
-    """Evaluate both safety conditions for per-leg moves.
+    """Evaluate both safety conditions for per-leg moves, given as triples of finite numbers.
 
     Passing needs (in the raw weight scale, w2-normalizable by the
     caller), each to within 1e-12:
@@ -208,20 +192,15 @@ def nonparallel_safe(
     - shifted-yield condition: w1*(y1+a1) + w3*(y3+a3) >= w2*(y2+a2);
     - instantaneous condition: w1*a1*T1 + w3*a3*T3 <= w2*a2*T2.
     """
-    w1, w2, w3 = _three_numbers(weights, "weights")
-    if not (w1 > 0.0 and w2 > 0.0 and w3 > 0.0):  # a NaN weight fails too
+    w1, w2, w3 = _args.triple(weights, "weights")
+    if not (w1 > 0.0 and w2 > 0.0 and w3 > 0.0):
         raise ValueError("weights must all be positive")
-    if not abs((w1 + w3) - w2) <= 1e-9 * max(w1, w2, w3) < math.inf:  # so does an infinite one
+    if not abs((w1 + w3) - w2) <= 1e-9 * max(w1, w2, w3):  # an overflowing sum fails too
         raise ValueError("weights must satisfy w1 + w3 = w2")
-    t1, t2, t3 = _three_numbers(maturities, "maturities")
-    y1, y2, y3 = yields = _three_numbers(yields, "yields")
-    a1, a2, a3 = moves = _three_numbers(moves, "moves")
-    for y, a in zip(yields, moves):
-        if not RATE_LO < y + a < RATE_HI:
-            raise ValueError(
-                f"shifted yield {y + a} outside the supported range "
-                f"({RATE_LO}, {RATE_HI})"
-            )
+    t1, t2, t3 = _args.triple(maturities, "maturities")
+    y1, y2, y3 = _args.triple(yields, "yields")
+    a1, a2, a3 = _args.triple(moves, "moves")
+    _check_rate_range((y1 + a1, y2 + a2, y3 + a3), "shifted yields")
     yield_margin = w1 * ((y1 + a1) - (y2 + a2)) + w3 * ((y3 + a3) - (y2 + a2))
     instant_margin = w2 * a2 * t2 - w1 * a1 * t1 - w3 * a3 * t3
     binding = min(yield_margin, instant_margin)
@@ -242,7 +221,7 @@ def swap_butterfly(swaps: SwapCurve, indices: tuple[int, int, int]) -> Butterfly
     costless at inception.  The bootstrap runs strict, so an invalid
     discount curve raises rather than producing meaningless weights.
     """
-    n, m, k = _grid_years(indices, len(swaps))
+    n, m, k = _args.grid_years(indices, len(swaps))
     annuities = _recursion(swaps.rates, True)[1]
     a_n, a_m, a_k = annuities[n - 1], annuities[m - 1], annuities[k - 1]
     w1 = a_k - a_m
@@ -264,33 +243,33 @@ def swap_butterfly_pnl(
     An instantaneous view is horizon = 0, where A is the shifted annuity
     itself.
 
-    Each shift is one pass over the rates.  Its refusals come in order: a
-    shift not finite as a float, the first shifted rate out of range, then
-    the first invalid shifted factor (BootstrapError).
+    A horizon, hand-built legs or weights, or a shift that is not a finite
+    number is refused first.  Each shift is one pass over the rates.  Its
+    refusals come in order: the shift, the first shifted rate out of range,
+    then the first invalid shifted factor (BootstrapError).
     """
     if fly.kind != SWAP:
         raise ValueError(f"expected a swap butterfly, got kind {fly.kind!r}")
-    if not 0.0 <= horizon <= 1.0:
+    t = _args.number(horizon, "horizon")
+    if not 0.0 <= t <= 1.0:
         raise ValueError(f"horizon must lie in [0, 1] years, got {horizon}")
     try:  # a hand-built butterfly's legs: whole years in order, as swap_butterfly takes
-        n, m, k = _grid_years(fly.legs, math.inf)
+        n, m, k = _args.grid_years(fly.legs, math.inf)
     except ValueError:
         raise ValueError(f"need 1 <= n < m < k <= {len(swaps)}, got {fly.legs}") from None
     if len(swaps) < k:
         raise ValueError("curve is shorter than the butterfly's last leg")
-    w1, w2, w3 = _three_numbers(fly.weights, "weights")
+    w1, w2, w3 = _args.triple(fly.weights, "weights")
     x = swaps.rates
     # Difference form of w1*x_n + w3*x_k - w2*x_m (w2 = w1 + w3): exactly
     # zero on a flat curve and bit-identical to the classification margin
     # of the (annuity, rate) triple.
-    carry = horizon * (w1 * (x[n - 1] - x[m - 1]) + w3 * (x[k - 1] - x[m - 1]))
-    if not abs(shift) <= float_info.max:  # NaN, infinities and ints beyond float range fail
-        raise ValueError("shift amount must be finite")
-    amount = float(shift)
+    carry = t * (w1 * (x[n - 1] - x[m - 1]) + w3 * (x[k - 1] - x[m - 1]))
+    shift = _args.number(shift, "shift amount")
     # One pass shifts, range-tests and recurses; at a failing year the reference path refuses.
     annuities, annuity, prev = [], 0.0, 1.0
     for r in x:
-        r += amount
+        r += shift
         if not RATE_LO < r < RATE_HI:
             break
         p = (1.0 - r * annuity) / (1.0 + r)
@@ -300,10 +279,10 @@ def swap_butterfly_pnl(
         annuities.append(annuity)
         prev = p
     if len(annuities) < len(x):
-        rates = [r + amount for r in x]
+        rates = [r + shift for r in x]
         _check_rate_range(rates, "rates")
         annuities = _recursion(rates, True)[1]
-    elapsed = horizon * annuities[0]  # the first factor: the sums start from 0.0
+    elapsed = t * annuities[0]  # the first factor: the sums start from 0.0
     remaining = (annuities[n - 1] - elapsed, annuities[m - 1] - elapsed, annuities[k - 1] - elapsed)
     mark = -shift * w1 * remaining[0] - shift * w3 * remaining[2] + shift * w2 * remaining[1]
     set_carry, set_mark, set_total, set_remaining = PnlBreakdown._setters
@@ -322,7 +301,7 @@ def _scan_hits(curve: ZeroCurve | SwapCurve, kind: str, mode: str, tol: float):
     kind); a hit's weights are their differences, as in ``zero_butterfly``
     and ``swap_butterfly``.  Legs are tenors or 1-based grid years.
     """
-    _require_tol(tol, "classification")
+    tol = _args.tolerance(tol, "classification")
     if kind == ZERO_BOND:
         if not isinstance(curve, ZeroCurve):
             raise ValueError("zero_bond scan expects a ZeroCurve")
@@ -365,7 +344,7 @@ def scan_arbitrage(
     common moves, so each hit is returned with its weights.  The curve
     must be arbitrage-clean at the individual-instrument level first
     (positive, decreasing discount factors); otherwise this raises, as
-    does a NaN or negative ``tol``.  Candidates are sorted by margin
+    does a ``tol`` that is not a finite number >= 0.  Candidates are sorted by margin
     descending, ties by indices, so results are deterministic.
     """
     xs, legs, hits = _scan_hits(curve, kind, mode, tol)

@@ -24,6 +24,7 @@ import math
 import os
 import sys
 
+from . import _args
 from . import io as curve_io
 from .bootstrap import ShiftScenario, bootstrap
 from .butterfly import (
@@ -73,11 +74,6 @@ def _emit(lines: list[str], out: str | None) -> None:
         raise ValueError(f"cannot write to stdout: {exc.strerror}") from None
 
 
-def _require_finite(flag: str, *values: float) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"{flag} must be finite")
-
-
 def _as_discounts(curve_file: curve_io.CurveFile) -> DiscountCurve:
     """Discount curve of any file type (swap files are bootstrapped)."""
     if curve_file.curve_type == curve_io.DISCOUNT:
@@ -101,7 +97,7 @@ def _numbers(flag: str, text: str, sep: str = ",", shape: str | None = None) -> 
     except ValueError:
         raise ValueError(f"could not parse {flag} from {text!r}") from None
     if shape is not None:
-        _require_finite(flag, *values)
+        values = [_args.number(v, flag) for v in values]
     return values
 
 
@@ -180,9 +176,7 @@ def cmd_forwards(path: str, curve_type: str, out: str | None) -> None:
 @_command("validate", _CURVE_TYPE, ("--tol", dict(type=float, default=1e-12, help=_DEFAULT)))
 def cmd_validate(path: str, curve_type: str, tol: float, out: str | None) -> None:
     """No-arbitrage violations of a curve's discount factors; exit 1 if any."""
-    curve_file = curve_io.read_curve_file(path, curve_type)
-    _require_finite("--tol", tol)
-    report = validate(_as_discounts(curve_file), tol=tol)
+    report = validate(_as_discounts(curve_io.read_curve_file(path, curve_type)), tol=tol)
     lines = ["index,kind,value"]
     for v in report.violations:
         lines.append(f"{v.index},{v.kind},{_fmt(v.value)}")
@@ -200,7 +194,6 @@ def cmd_validate(path: str, curve_type: str, tol: float, out: str | None) -> Non
 def cmd_scan(path: str, kind: str, mode: str, tol: float, out: str | None) -> None:
     """Convex triples of a curve, largest margin first."""
     curve_file = curve_io.read_curve_file(path, kind)
-    _require_finite("--tol", tol)
     scan_mode = CONSECUTIVE if mode == "consecutive" else ALL_TRIPLES
     curve = curve_file.to_zero_curve() if kind == "zero" else curve_file.to_swap_curve()
     xs, legs, hits = _scan_hits(curve, ZERO_BOND if kind == "zero" else SWAP, scan_mode, tol)

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import attrgetter, index
+from operator import attrgetter
+
+from . import _args
 
 # Decimal per-annum rates accepted anywhere in the package.
 RATE_LO = -0.5
@@ -45,19 +47,9 @@ NON_POSITIVE_DISCOUNT = "non_positive_discount"
 NON_POSITIVE_FORWARD = "non_positive_forward"
 
 
-def _as_floats(values, what: str) -> tuple[float, ...]:
-    out = tuple(map(float, values))
-    if not out:
-        raise ValueError(f"{what} must contain at least one entry")
-    if not all(map(math.isfinite, out)):
-        bad = next(v for v in out if not math.isfinite(v))
-        raise ValueError(f"{what} must be finite, got {bad!r}")
-    return out
-
-
 def _check_rate_range(rates: tuple[float, ...], what: str) -> None:
     # The min/max accept is exact only for finite rates (a NaN can slip
-    # past both), which every caller guarantees: _as_floats has refused
+    # past both), which every caller guarantees: _args.floats has refused
     # non-finite values, and finite rates plus finite shift amounts stay
     # finite.
     if RATE_LO < min(rates) and max(rates) < RATE_HI:
@@ -132,8 +124,8 @@ class ZeroCurve(_Record):
     __slots__ = ("tenors", "yields")
 
     def __init__(self, tenors: tuple[float, ...], yields: tuple[float, ...]) -> None:
-        tenors = _as_floats(tenors, "tenors")
-        yields = _as_floats(yields, "yields")
+        tenors = _args.floats(tenors, "tenors")
+        yields = _args.floats(yields, "yields")
         if len(tenors) != len(yields):
             raise ValueError("tenors and yields must have the same length")
         if tenors[0] <= 0.0:
@@ -150,9 +142,10 @@ class ZeroCurve(_Record):
     def yield_at(self, t: float) -> float:
         """Zero yield at tenor t: exact pillar or linear interpolation.
 
-        Raises ValueError for a tenor outside [first tenor, last tenor],
-        NaN included.
+        Raises ValueError for a tenor that is not a finite number or lies
+        outside [first tenor, last tenor].
         """
+        t = _args.number(t, "tenor")
         tenors, yields = self.tenors, self.yields
         if not tenors[0] <= t <= tenors[-1]:
             raise ValueError(
@@ -180,7 +173,7 @@ class SwapCurve(_Record):
     __slots__ = ("rates",)
 
     def __init__(self, rates: tuple[float, ...]) -> None:
-        rates = _as_floats(rates, "rates")
+        rates = _args.floats(rates, "rates")
         _check_rate_range(rates, "rates")
         self._set(rates)
 
@@ -201,7 +194,7 @@ class DiscountCurve(_Record):
     __slots__ = ("factors", "annuities")
 
     def __init__(self, factors: tuple[float, ...]) -> None:
-        factors = _as_floats(factors, "factors")
+        factors = _args.floats(factors, "factors")
         annuities = tuple(accumulate(factors, initial=0.0))[1:]
         self._set(factors, annuities)
 
@@ -210,7 +203,7 @@ class DiscountCurve(_Record):
         """Trusted constructor: float factors and their running sums from 0.0."""
         # A finite last sum means every factor is finite.
         if not (annuities and math.isfinite(annuities[-1])):
-            _as_floats(factors, "factors")
+            _args.floats(factors, "factors")
         set_factors, set_annuities = DiscountCurve._setters
         curve = object.__new__(cls)
         set_factors(curve, factors)
@@ -233,7 +226,7 @@ class ForwardCurve(_Record):
     __slots__ = ("forwards",)
 
     def __init__(self, forwards: tuple[float, ...]) -> None:
-        self._set(_as_floats(forwards, "forwards"))
+        self._set(_args.floats(forwards, "forwards"))
 
     def __len__(self) -> int:
         return len(self.forwards)
@@ -280,37 +273,53 @@ class CheckResult(_Record):
 def zero_price(y: float, t: int) -> float:
     """Discount factor of a zero-coupon bond: 1 / (1 + y)**t.
 
-    ``t`` is a whole number of years >= 1; ``y`` must exceed -1.
+    ``t`` is a number of years >= 1; ``y`` must exceed -1.  Both must be finite
+    numbers, and so must the factor: one beyond float range is refused.
     """
-    if t < 1:
+    rate, years = _args.number(y, "yield"), _args.number(t, "maturity")
+    if years < 1:
         raise ValueError(f"maturity must be at least one year, got {t}")
-    if y <= -1.0:
+    if rate <= -1.0:
         raise ValueError(f"yield must exceed -1, got {y}")
-    return (1.0 + y) ** (-t)
+    try:
+        return (1.0 + rate) ** -years
+    except OverflowError:
+        raise ValueError(f"discount factor at year {t} is beyond float range") from None
 
 
 def zero_yield_from_price(p: float, t: int) -> float:
-    """Annually compounded yield implied by a discount factor: p**(-1/t) - 1."""
-    if t < 1:
+    """Annually compounded yield implied by a discount factor: p**(-1/t) - 1.
+    Both arguments, and the yield, must be finite numbers."""
+    price, years = _args.number(p, "discount factor"), _args.number(t, "maturity")
+    if years < 1:
         raise ValueError(f"maturity must be at least one year, got {t}")
-    if p <= 0.0:
+    if price <= 0.0:
         raise ValueError(f"discount factor must be positive, got {p}")
-    return p ** (-1.0 / t) - 1.0
+    try:
+        return price ** (-1.0 / years) - 1.0
+    except OverflowError:
+        raise ValueError(f"zero yield at year {t} is beyond float range") from None
 
 
 def discounts_from_zeros(curve: ZeroCurve) -> DiscountCurve:
-    """Discount curve of a zero curve on the consecutive grid 1..N."""
+    """Discount curve of a zero curve on the consecutive grid 1..N.  A factor beyond
+    float range is refused at its year, as zero_price refuses it."""
     _require_integer_grid(curve.tenors)
-    # zero_price's power: a ZeroCurve's yields exceed -0.5, so it would accept them.
-    factors = tuple([(1.0 + y) ** -n for n, y in enumerate(curve.yields, start=1)])
+    try:  # zero_price's power: a ZeroCurve's yields exceed -0.5, so it would accept them
+        factors = tuple([(1.0 + y) ** -n for n, y in enumerate(curve.yields, start=1)])
+    except OverflowError:  # refused at the first such year, named by zero_price
+        factors = tuple([zero_price(y, n) for n, y in enumerate(curve.yields, start=1)])
     return DiscountCurve._computed(factors, tuple(accumulate(factors, initial=0.0))[1:])
 
 
 def zeros_from_discounts(curve: DiscountCurve) -> ZeroCurve:
-    """Zero curve implied by integer-grid discount factors."""
-    if min(curve.factors) > 0.0:  # zero_yield_from_price's power, which it would accept
+    """Zero curve implied by integer-grid discount factors.  A non-positive factor, or
+    one so small that its yield is beyond float range, is refused at its year."""
+    try:  # zero_yield_from_price's power, which accepts positive factors
         yields = tuple([p ** (-1.0 / n) - 1.0 for n, p in enumerate(curve.factors, start=1)])
-    else:  # refused at the first non-positive factor, named by zero_yield_from_price
+    except (ZeroDivisionError, OverflowError):
+        yields = None
+    if yields is None or not min(curve.factors) > 0.0:  # refused by year in zero_yield_from_price
         yields = tuple(zero_yield_from_price(p, n) for n, p in enumerate(curve.factors, start=1))
     _check_rate_range(yields, "yields")
     set_tenors, set_yields = ZeroCurve._setters
@@ -342,12 +351,6 @@ def par_rates(curve: DiscountCurve) -> SwapCurve:
     return SwapCurve(tuple([(1.0 - p) / acc for p, acc in zip(factors, curve.annuities)]))
 
 
-def _require_tol(tol: float, what: str) -> None:
-    """Refuse a NaN or negative tolerance, which would pass or misclassify silently."""
-    if not tol >= 0:
-        raise ValueError(f"{what} tolerance must be >= 0, got {tol!r}")
-
-
 def validate(curve: DiscountCurve, tol: float = MONOTONE_TOL) -> ValidationReport:
     """Report every no-arbitrage violation of a discount curve.
 
@@ -359,11 +362,12 @@ def validate(curve: DiscountCurve, tol: float = MONOTONE_TOL) -> ValidationRepor
       exceed ``tol`` (intervals whose end-year price is exactly zero are
       skipped here -- the positivity finding already covers them).
 
-    Findings are data; only a NaN or negative ``tol`` raises ValueError.
+    Findings are data; only a ``tol`` that is not a finite number >= 0 raises
+    ValueError.
     Discount findings come first, by 1-based year; forward findings follow,
     by interval start index (0 = spot year).
     """
-    _require_tol(tol, "validation")
+    tol = _args.tolerance(tol, "validation")
     return ValidationReport.from_violations(_violations(curve, tol))
 
 
@@ -414,15 +418,3 @@ def _require_integer_grid(tenors: tuple[float, ...]) -> None:
                 f"tenors must be the consecutive integers 1..N, got {t} at position {n}"
             )
 
-
-def _grid_years(indices, size: int) -> tuple[int, int, int]:
-    """Years n < m < k on the grid 1..size, or ValueError.  A year is whole as
-    ``operator.index`` decides: numpy integers pass, floats such as 2.0 do not, and
-    neither does anything but three years."""
-    try:
-        n, m, k = map(index, indices)
-        if 1 <= n < m < k <= size:
-            return n, m, k
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"need 1 <= n < m < k <= {size}, got {indices}")

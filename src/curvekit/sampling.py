@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from operator import index
 from random import Random
 
+from . import _args
 from .bootstrap import ShiftScenario, bootstrap, shift_response, shifted_bootstrap
 from .bootstrap import swap_rates_from_discounts
 from .curves import DiscountCurve, ForwardCurve, SwapCurve, _Record, forward_rates
@@ -37,16 +37,20 @@ def random_discount_curve(
     rng: Random, n: int, f_lo: float = 0.001, f_hi: float = 0.12
 ) -> DiscountCurve:
     """Discount curve built from uniform one-year forwards in [f_lo, f_hi]."""
-    _check_draw(n, f_lo, f_hi)
+    n, f_lo, f_hi = _check_draw(n, f_lo, f_hi)
     return _discounts(rng.uniform(f_lo, f_hi) for _ in range(n))
 
 
-def _check_draw(n: int, f_lo: float, f_hi: float) -> None:
-    """Refuse arguments that would break validity by construction."""
+def _check_draw(n: int, f_lo: float, f_hi: float) -> tuple[int, float, float]:
+    """n, f_lo and f_hi as an int and floats, or ValueError where they would break validity
+    by construction: n not an integer >= 1, bounds not finite numbers with 0 < f_lo < f_hi."""
+    n = _args.whole(n, "curve length")
+    f_lo, f_hi = _args.number(f_lo, "f_lo"), _args.number(f_hi, "f_hi")
     if n < 1:
         raise ValueError("curve length must be at least 1")
     if not 0.0 < f_lo < f_hi:
         raise ValueError("forward bounds must satisfy 0 < f_lo < f_hi")
+    return n, f_lo, f_hi
 
 
 def random_swap_curve(
@@ -71,7 +75,7 @@ def random_nondecreasing_swap_curve(
     rates directly would not work: a steep enough rising par curve
     implies negative discount factors.)
     """
-    _check_draw(n, f_lo, f_hi)
+    n, f_lo, f_hi = _check_draw(n, f_lo, f_hi)
     forwards = sorted(rng.uniform(f_lo, f_hi) for _ in range(n))
     return swap_rates_from_discounts(_discounts(forwards))
 
@@ -111,13 +115,10 @@ def verify_trials(
 
     Trial t jitters the curve's forwards with ``Random(f"{seed}:{t}")``.  A trial
     whose shifted curve fails validation is skipped, not a finding.  Raises ValueError
-    for ``trials`` that ``operator.index`` refuses or that are negative, or when the curve
-    or its shift fails validation.
+    for ``trials`` or a ``seed`` that ``operator.index`` refuses or beyond float range,
+    for negative ``trials``, or when the curve or its shift fails validation.
     """
-    try:
-        trials = index(trials)
-    except TypeError:
-        raise ValueError(f"trials must be an integer, got {trials!r}") from None
+    trials, seed = _args.whole(trials, "trials"), _args.whole(seed, "seed")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     base = _require_valid(bootstrap(swaps), "input curve")

@@ -24,11 +24,11 @@ of a sane curve produces.
 
 from __future__ import annotations
 
-import math
 from itertools import count
 from operator import lt
 
-from .curves import MONOTONE_TOL, CheckResult, DiscountCurve, _grid_years, _Record, _require_tol
+from . import _args
+from .curves import MONOTONE_TOL, CheckResult, DiscountCurve, _Record
 
 CONVEX = "convex"
 CONCAVE = "concave"
@@ -79,27 +79,19 @@ def _verdict(margin: float, tol: float = CLASSIFY_TOL) -> str:
 def classify_triple(points, tol: float = CLASSIFY_TOL) -> TripleClassification:
     """Classify three (abscissa, value) points as convex, concave or affine.
 
-    Raises ValueError unless the abscissas strictly increase and every
-    coordinate is finite.
+    Raises ValueError unless every coordinate is a finite number and the
+    abscissas strictly increase, and for a ``tol`` that is not a finite
+    number >= 0.
     """
-    _require_tol(tol, "classification")
-    (x1, v1), (x2, v2), (x3, v3) = points
+    tol = _args.tolerance(tol, "classification")
+    (x1, v1), (x2, v2), (x3, v3) = _args.pairs(points)
     if not (x1 < x2 < x3):
         raise ValueError("abscissas must be strictly increasing")
-    _require_finite(((x1, v1), (x2, v2), (x3, v3)))
     # The difference form of w1*v1 + w3*v3 - (w1 + w3)*v2: identical
     # algebraically, exactly zero for equal values, and bit-identical to
     # the weight-based carry expressions elsewhere in the package.
     margin = (x3 - x2) * (v1 - v2) + (x2 - x1) * (v3 - v2)
     return TripleClassification(_verdict(margin, tol), margin)
-
-
-def _require_finite(points) -> None:
-    """Refuse a point with an infinite or NaN coordinate: its triples' margins are not
-    finite, and a NaN margin would classify affine silently."""
-    for x, v in points:
-        if not (math.isfinite(x) and math.isfinite(v)):
-            raise ValueError(f"points must be finite, got ({x!r}, {v!r})")
 
 
 def _window_margins(xs, vs) -> list[float]:
@@ -166,11 +158,11 @@ def scan_curve_shape(
 
     ``consecutive`` scans the N-2 windows (i, i+1, i+2); ``all_triples``
     scans every i < j < k and refuses more than ``ALL_TRIPLES_CAP`` points.
-    Points must be finite; as in :func:`classify_triple`, a NaN abscissa
-    is refused as no increase.
+    Points must be pairs of finite numbers: a NaN margin would classify
+    affine silently.
     """
-    _require_tol(tol, "classification")
-    points = [(float(x), float(v)) for x, v in points]
+    tol = _args.tolerance(tol, "classification")
+    points = _args.pairs(points)
     xs, vs = [x for x, _ in points], [v for _, v in points]
     new = object.__new__
     set_verdict, set_margin = TripleClassification._setters
@@ -180,7 +172,6 @@ def scan_curve_shape(
         set_verdict(c, _verdict(margin, tol))
         set_margin(c, margin)
         triples.append((i, j, k, c))
-    _require_finite(points)  # after _margins' refusals: a NaN abscissa is no increase
     triples = tuple(triples)
     any_convex = any(c.verdict == CONVEX for _, _, _, c in triples)
     overall = CONVEX_SOMEWHERE if any_convex else CONCAVE_EVERYWHERE
@@ -197,7 +188,7 @@ def annuity_point_classification(
     ``indices`` are 1-based years n < m < k on the common grid of both
     curves.  A zero shift puts the points on the diagonal, hence affine.
     """
-    years = _grid_years(indices, len(base))
+    years = _args.grid_years(indices, len(base))
     if len(base) != len(shifted):
         raise ValueError("curves must share one grid")
     pts = tuple(
@@ -221,24 +212,15 @@ def ratio_monotonicity(
     """
     if len(base) != len(shifted):
         raise ValueError("curves must share one grid")
-    for n, p in enumerate(base.factors, start=1):
-        if p == 0.0:
-            raise ValueError(f"base discount factor at year {n} is zero")
+    if 0.0 in base.factors:  # -0.0 included
+        raise ValueError(f"base discount factor at year {base.factors.index(0.0) + 1} is zero")
     if direction not in ("non_increasing", "non_decreasing"):
         raise ValueError(f"unknown direction {direction!r}")
+    rising = direction == "non_increasing"  # a rise is the wrong way
     ratios = [s / b for s, b in zip(shifted.factors, base.factors)]
     for n, (r, r_next) in enumerate(zip(ratios, ratios[1:]), start=1):
-        if direction == "non_increasing":
-            bad = r_next > r + MONOTONE_TOL
-        else:
-            bad = r_next < r - MONOTONE_TOL
-        if bad:
-            return CheckResult(
-                "discount_ratio_monotone",
-                False,
-                n,
-                f"ratio rises {r:.12g} -> {r_next:.12g} after year {n}"
-                if direction == "non_increasing"
-                else f"ratio falls {r:.12g} -> {r_next:.12g} after year {n}",
-            )
+        if (r_next > r + MONOTONE_TOL) if rising else (r_next < r - MONOTONE_TOL):
+            move = "rises" if rising else "falls"
+            detail = f"ratio {move} {r:.12g} -> {r_next:.12g} after year {n}"
+            return CheckResult("discount_ratio_monotone", False, n, detail)
     return CheckResult("discount_ratio_monotone", True)

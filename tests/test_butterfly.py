@@ -89,6 +89,13 @@ class TestZeroButterfly:
             with pytest.raises(ValueError):
                 zero_butterfly(*bad)
 
+    def test_hand_built_legs_that_are_not_finite_are_refused(self):
+        # Legs (1.0, 2.0, inf) are in order, and were reported as an overflow of the value.
+        fly = Butterfly(ZERO_BOND, (1.0, 2.0, math.inf), (math.inf, math.inf, 1.0))
+        with pytest.raises(ValueError) as exc:
+            zero_butterfly_pnl(fly, (0.01, 0.02, 0.03), 0.01, 0.5)
+        assert str(exc.value) == "maturities must satisfy 0 < t1 < t2 < t3, got (1.0, 2.0, inf)"
+
 
 class TestZeroButterflyPnl:
     @pytest.mark.parametrize("yields", NOT_THREE_NUMBERS, ids=NOT_THREE_IDS)
@@ -135,6 +142,21 @@ class TestZeroButterflyPnl:
         with pytest.raises(ValueError) as exc:
             zero_butterfly_pnl(fly, yields, math.nan, 0.5)
         assert str(exc.value) == "shift amount must be finite"
+
+    @pytest.mark.parametrize("weights", [(math.nan, 2.0, 1.0), (1.0, 2.0, math.inf)])
+    def test_hand_built_weights_that_are_not_finite_are_refused(self, weights):
+        # A NaN weight was reported as "butterfly value overflows at shift 0.01".
+        fly = Butterfly(ZERO_BOND, (1.0, 2.0, 3.0), weights)
+        with pytest.raises(ValueError) as exc:
+            zero_butterfly_pnl(fly, (0.01, 0.02, 0.03), 0.01, 0.5)
+        assert str(exc.value) == f"weights must be finite, got {weights!r}"
+
+    @pytest.mark.parametrize("shift", ["0.01", None])
+    def test_a_shift_that_is_not_a_number_is_refused(self, shift):
+        # It ended in a TypeError from abs().
+        with pytest.raises(ValueError) as exc:
+            zero_butterfly_pnl(zero_butterfly(1, 2, 3), (0.01, 0.02, 0.03), shift, 0.5)
+        assert str(exc.value) == f"shift amount must be a number, got {shift!r}"
 
     def test_yields_of_any_number_type_value_as_floats(self):
         fly = zero_butterfly(1, 2, 3)
@@ -261,28 +283,11 @@ class TestNonparallelWeights:
         with pytest.raises(ValueError):
             nonparallel_weights((0.03, 0.01, 0.01), (1.0, 2.0, 3.0))
 
-    @pytest.mark.parametrize(
-        "moves",
-        [
-            (0.0, math.nan, 0.0),
-            (math.nan, 0.01, 0.02),
-            (0.0, 0.01, math.nan),
-            (math.nan,) * 3,
-            (-math.inf, 0.0, math.inf),
-            (0.0, 0.0, math.inf),
-            (-math.inf, 0.0, 0.0),
-            (math.inf,) * 3,
-            (0.0, 1e308, 1e308),
-        ],
-        ids=[
-            "nan-middle", "nan-first", "nan-last", "all-nan",
-            "-inf-to-inf", "inf-last", "-inf-first", "all-inf", "overflowing-sum",
-        ],
-    )
-    def test_non_finite_moves_or_weights_are_refused(self, moves):
-        # No NaN or infinite weight comes back: each guard fails on NaN.
+    def test_weights_whose_sum_overflows_are_refused(self):
+        # Finite moves whose weights sum beyond float range; non-finite moves are
+        # refused as such (tests/test_args.py).
         with pytest.raises(ValueError, match="moves must satisfy a1\\*T1 < a2\\*T2 < a3\\*T3"):
-            nonparallel_weights(moves, (1.0, 2.0, 3.0))
+            nonparallel_weights((0.0, 1e308, 1e308), (1.0, 2.0, 3.0))
 
     @given(c=st.floats(0.001, 0.05), t1=st.floats(0.5, 5.0), g=st.floats(0.5, 5.0))
     @settings(max_examples=200)
@@ -347,32 +352,11 @@ class TestNonparallelSafe:
         with pytest.raises(ValueError):
             nonparallel_safe(fly.weights, fly.legs, (0.9, 0.9, 0.9), (0.2, 0.2, 0.2))
 
-    @pytest.mark.parametrize(
-        "weights, message",
-        [
-            ((1.0, math.nan, 1.0), "weights must all be positive"),
-            ((math.nan, 2.0, 1.0), "weights must all be positive"),
-            ((1.0, 2.0, math.nan), "weights must all be positive"),
-            ((1.0, -math.inf, 1.0), "weights must all be positive"),
-            ((1.0, math.inf, 1.0), "weights must satisfy w1 \\+ w3 = w2"),
-            ((math.inf, math.inf, 1.0), "weights must satisfy w1 \\+ w3 = w2"),
-            ((1.0, 2.0, math.inf), "weights must satisfy w1 \\+ w3 = w2"),
-            ((math.inf,) * 3, "weights must satisfy w1 \\+ w3 = w2"),
-        ],
-        ids=["nan-w2", "nan-w1", "nan-w3", "-inf-w2", "inf-w2", "inf-w1-w2", "inf-w3", "all-inf"],
-    )
-    def test_non_finite_weights_are_refused(self, weights, message):
-        # A NaN weight used to pass both checks and report binding_margin 0.0.
-        with pytest.raises(ValueError, match=message):
-            nonparallel_safe(weights, (1, 2, 3), (0.02, 0.025, 0.04), (0.01,) * 3)
-
-    @pytest.mark.parametrize(
-        "moves", [(0.01, math.nan, 0.01), (math.inf, 0.0, 0.0), (0.0, 0.0, -math.inf)]
-    )
-    def test_non_finite_moves_are_refused(self, moves):
-        fly = zero_butterfly(1, 2, 3)
-        with pytest.raises(ValueError, match="outside the supported range"):
-            nonparallel_safe(fly.weights, fly.legs, (0.02, 0.025, 0.04), moves)
+    def test_weights_whose_sum_overflows_are_refused(self):
+        # Non-finite weights are refused as such (tests/test_args.py); finite ones
+        # whose outer sum leaves float range cannot satisfy w1 + w3 = w2.
+        with pytest.raises(ValueError, match="weights must satisfy w1 \\+ w3 = w2"):
+            nonparallel_safe((1e308, 1.7e308, 1e308), (1, 2, 3), (0.02, 0.025, 0.04), (0.01,) * 3)
 
 
 class TestSwapButterfly:
@@ -460,6 +444,22 @@ class TestSwapButterflyPnl:
         with pytest.raises(ValueError) as exc:
             swap_butterfly_pnl(fly, swaps, shift, 0.5)
         assert str(exc.value) == "shift amount must be finite"
+
+    @pytest.mark.parametrize("shift", ["0.01", None])
+    def test_a_shift_that_is_not_a_number_is_refused(self, shift):
+        # It ended in a TypeError from abs().
+        swaps = SwapCurve((0.02, 0.025, 0.035))
+        fly = swap_butterfly(swaps, (1, 2, 3))
+        with pytest.raises(ValueError) as exc:
+            swap_butterfly_pnl(fly, swaps, shift, 0.5)
+        assert str(exc.value) == f"shift amount must be a number, got {shift!r}"
+
+    def test_hand_built_weights_that_are_not_finite_are_refused(self):
+        swaps = SwapCurve((0.02, 0.025, 0.035))
+        hand_built = Butterfly(SWAP, (1, 2, 3), (math.nan, 2.0, 1.0), (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError) as exc:
+            swap_butterfly_pnl(hand_built, swaps, 0.01, 0.5)
+        assert str(exc.value) == "weights must be finite, got (nan, 2.0, 1.0)"
 
     def test_whole_legs_past_the_curve_are_refused(self):
         swaps = SwapCurve((0.02, 0.025, 0.03, 0.035))

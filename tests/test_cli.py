@@ -646,6 +646,12 @@ class TestHostileFlags:
                 "butterfly value overflows at shift -236.57000000000002",
             ),
             (
+                b"tenor_years,rate\n" + b"".join(b"%d,-0.49\n" % n for n in range(1, 1101)),
+                ["par", "{path}", "--curve-type", "zero"],
+                1,
+                "discount factor at year 1055 is beyond float range",
+            ),
+            (
                 b'{"curve_type":"zero","points":[{"t":1,"r":1' + b"0" * 400 + b"}]}",
                 ["validate", "{path}"],
                 2,
@@ -695,6 +701,7 @@ class TestHostileFlags:
             "zero-price-overflow-at-first-point",
             "pnl-exp-overflow",
             "pnl-sum-overflow",
+            "zero-discount-factor-overflow",
             "json-number-beyond-float",
             "json-integer-beyond-digit-limit",
             "json-boolean-tenor",
@@ -918,7 +925,13 @@ def test_cli_import_adds_no_dataclasses_or_json():
 def test_cli_import_loads_no_click_json_or_numpy():
     # Start-up is most of a short command: the command line is parsed by the
     # standard library, and no heavy import sits on the path of every command.
-    code = "import sys, curvekit.cli; print(' '.join(sorted(sys.modules)))"
+    # Type checks use hasattr(x, "__float__"), not numbers.Number, so the number
+    # modules stay out too.  Some interpreters' site start-up already loads typing,
+    # so those four are checked on what the import itself adds.
+    code = (
+        "import sys; before = set(sys.modules); import curvekit.cli; "
+        "print(' '.join(sorted(before)), '|', ' '.join(sorted(sys.modules)))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         env=_child_env(),
@@ -926,9 +939,10 @@ def test_cli_import_loads_no_click_json_or_numpy():
         text=True,
         check=True,
     )
-    loaded = set(result.stdout.split())
+    before, loaded = map(set, map(str.split, result.stdout.split("|")))
     assert "curvekit.cli" in loaded
     assert not loaded & {"click", "json", "numpy", "dataclasses"}
+    assert not (loaded - before) & {"numbers", "decimal", "fractions", "typing"}
 
 
 class TestProcessEntry:

@@ -1,6 +1,7 @@
 """Seeded random curves: valid by construction, and refused arguments; the seeded
 verification run over perturbations of a curve."""
 
+import math
 from random import Random
 
 import pytest
@@ -41,7 +42,6 @@ BAD_ARGUMENTS = [
     ((5, 0.0, 0.1), "forward bounds must satisfy 0 < f_lo < f_hi"),
     ((5, 0.1, 0.05), "forward bounds must satisfy 0 < f_lo < f_hi"),
     ((5, 0.05, 0.05), "forward bounds must satisfy 0 < f_lo < f_hi"),
-    ((5, float("nan"), 0.1), "forward bounds must satisfy 0 < f_lo < f_hi"),
 ]
 
 
@@ -50,6 +50,25 @@ BAD_ARGUMENTS = [
 def test_arguments_that_break_validity_are_refused(sampler, args, message):
     # random_nondecreasing_swap_curve used to accept them: with f_lo = -0.2 its
     # curve bootstrapped to factors that fail validation.
+    with pytest.raises(ValueError) as exc:
+        sampler(Random(1), *args)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((5, 0.001, math.inf), "f_hi must be finite"),
+        ((5, math.nan, 0.1), "f_lo must be finite"),
+        ((5.0,), "curve length must be an integer, got 5.0"),
+    ],
+)
+def test_bounds_that_are_not_finite_and_lengths_that_are_not_whole_are_refused(
+    sampler, args, message
+):
+    # With f_hi = inf random_discount_curve returned the factors (0.0,) * 5, which fail
+    # validation; a NaN f_lo was refused as unordered bounds; n = 5.0 ended in a TypeError.
     with pytest.raises(ValueError) as exc:
         sampler(Random(1), *args)
     assert str(exc.value) == message
