@@ -6,7 +6,7 @@ checks, convexity classification of curve triples, and zero-cost
 butterfly construction with shift P&L and arbitrage scans.
 """
 
-__version__ = "0.4.6"
+__version__ = "0.4.7"
 
 from .bootstrap import (
     BootstrapError,

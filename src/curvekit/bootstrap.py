@@ -31,8 +31,10 @@ from .curves import (
     CheckResult,
     DiscountCurve,
     SwapCurve,
+    Violation,
     _check_rate_range,
     _Record,
+    _violations,
 )
 from .shape import (
     CONCAVE,
@@ -103,8 +105,9 @@ class ShiftScenario(_Record):
 def bootstrap(swaps: SwapCurve, *, strict: bool = False) -> DiscountCurve:
     """Discount factors implied by par swap rates.
 
-    In strict mode the recursion raises :class:`BootstrapError` at the
-    first year whose factor is non-positive or fails to decrease.  The
+    In strict mode the recursion stops at the first year whose factor is
+    non-positive or fails to decrease, validate's first finding, and raises
+    :class:`BootstrapError`, which holds no partial curve.  The
     default is lenient: the factors are returned as computed and
     :func:`curvekit.curves.validate` yields the violation report, since
     shifted curves can transiently break monotonicity and callers usually
@@ -128,12 +131,28 @@ def _recursion(rates, strict: bool) -> tuple[list[float], list[float]]:
         p = (1.0 - x * annuity) / (1.0 + x)
         if strict and not MONOTONE_TOL < p < prev - MONOTONE_TOL:  # rates in range: p is finite
             kind = NON_POSITIVE_DISCOUNT if p <= MONOTONE_TOL else NON_DECREASING_DISCOUNT
-            raise BootstrapError(len(factors) + 1, kind, p)
+            n = len(factors) + 1
+            del factors, annuities, rates  # a kept error pins no list
+            raise BootstrapError(n, kind, p)
         factors.append(p)
         annuity += p
         annuities.append(annuity)
         prev = p
     return factors, annuities
+
+
+def _strict_bootstrap(rates) -> DiscountCurve | Violation:
+    """The strict bootstrap of rates in range, or validate's first finding on their curve:
+    the recursion stops at a discount finding, and a curve that passes can fail only the
+    forward test, whose least value comes from the least factor ratio (x - 1.0 is monotone)."""
+    try:
+        curve = _bootstrap_rates(rates, True)
+    except BootstrapError as exc:
+        return Violation(exc.index, exc.kind, exc.value)
+    factors = curve.factors
+    if min(map(operator.truediv, (1.0, *factors), factors)) - 1.0 > MONOTONE_TOL:
+        return curve
+    return next(_violations(curve))  # the reference walk finds it
 
 
 def swap_rates_from_discounts(curve: DiscountCurve) -> SwapCurve:
@@ -157,9 +176,14 @@ def shifted_bootstrap(swaps: SwapCurve, shift: ShiftScenario) -> DiscountCurve:
     without building the intermediate curve: the sum of finite rates and
     finite amounts is finite, so only the range check is left to run.
     """
-    rates = tuple(map(operator.add, swaps.rates, shift.amounts_for(len(swaps))))
-    _check_rate_range(rates, "rates")
-    return _bootstrap_rates(rates, False)
+    return _bootstrap_rates(_shifted_rates(swaps, shift), False)
+
+
+def _shifted_rates(swaps: SwapCurve, shift: ShiftScenario) -> tuple[float, ...]:
+    """The shifted rates, or ValueError naming the first out of range."""
+    return _check_rate_range(
+        tuple(map(operator.add, swaps.rates, shift.amounts_for(len(swaps)))), "rates"
+    )
 
 
 def shift_response(

@@ -22,10 +22,10 @@ import math
 from operator import itemgetter
 
 from . import _args
-from .bootstrap import _recursion, bootstrap
+from .bootstrap import _recursion, _strict_bootstrap
 from .curves import RATE_HI, RATE_LO, SwapCurve, ZeroCurve, _check_rate_range, _Record
 from .curves import MONOTONE_TOL, _require_valid
-from .shape import CLASSIFY_TOL, CONSECUTIVE, _margins
+from .shape import CLASSIFY_TOL, CONSECUTIVE, _consecutive_margins, _margins
 
 ZERO_BOND = "zero_bond"
 SWAP = "swap"
@@ -278,10 +278,9 @@ def swap_butterfly_pnl(
         annuity += p
         annuities.append(annuity)
         prev = p
-    if len(annuities) < len(x):
-        rates = [r + shift for r in x]
-        _check_rate_range(rates, "rates")
-        annuities = _recursion(rates, True)[1]
+    if len(annuities) < len(x):  # the reference path refuses; its error pins neither list
+        del annuities
+        annuities = _recursion(_check_rate_range([r + shift for r in x], "rates"), True)[1]
     elapsed = t * annuities[0]  # the first factor: the sums start from 0.0
     remaining = (annuities[n - 1] - elapsed, annuities[m - 1] - elapsed, annuities[k - 1] - elapsed)
     mark = -shift * w1 * remaining[0] - shift * w3 * remaining[2] + shift * w2 * remaining[1]
@@ -320,11 +319,17 @@ def _scan_hits(curve: ZeroCurve | SwapCurve, kind: str, mode: str, tol: float):
     elif kind == SWAP:
         if not isinstance(curve, SwapCurve):
             raise ValueError("swap scan expects a SwapCurve")
-        disc = _require_valid(bootstrap(curve), "curve")
+        disc = _require_valid(_strict_bootstrap(curve.rates), "curve")
         xs, values, legs = disc.annuities, curve.rates, range(1, len(curve) + 1)
     else:
         raise ValueError(f"unknown butterfly kind {kind!r}")
     # Convex as classify_triple decides; a stable sort keeps ties in (i, j, k) order.
+    # Consecutive scans rank window positions by the margin list: no tuple per window.
+    if mode == CONSECUTIVE:
+        margins = _consecutive_margins(xs, values)
+        order = [i for i, margin in enumerate(margins) if margin > tol]
+        order.sort(key=margins.__getitem__, reverse=True)
+        return xs, legs, ((i, i + 1, i + 2, margins[i]) for i in order)
     hits = [hit for hit in _margins(xs, values, mode) if hit[3] > tol]
     hits.sort(key=itemgetter(3), reverse=True)
     return xs, legs, hits
@@ -343,9 +348,10 @@ def scan_arbitrage(
     convex triple is the entry condition for a profitable butterfly under
     common moves, so each hit is returned with its weights.  The curve
     must be arbitrage-clean at the individual-instrument level first
-    (positive, decreasing discount factors); otherwise this raises, as
-    does a ``tol`` that is not a finite number >= 0.  Candidates are sorted by margin
-    descending, ties by indices, so results are deterministic.
+    (positive, decreasing discount factors); otherwise this raises at the first
+    invalid year, naming validate's first finding, with no partial curve kept by
+    the error.  So does a ``tol`` that is not a finite number >= 0.  Candidates are
+    sorted by margin descending, ties by indices, so results are deterministic.
     """
     xs, legs, hits = _scan_hits(curve, kind, mode, tol)
     new, swap = object.__new__, kind == SWAP

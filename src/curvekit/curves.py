@@ -47,15 +47,16 @@ NON_POSITIVE_DISCOUNT = "non_positive_discount"
 NON_POSITIVE_FORWARD = "non_positive_forward"
 
 
-def _check_rate_range(rates: tuple[float, ...], what: str) -> None:
-    # The min/max accept is exact only for finite rates (a NaN can slip
-    # past both), which every caller guarantees: _args.floats has refused
-    # non-finite values, and finite rates plus finite shift amounts stay
-    # finite.
+def _check_rate_range(rates: tuple[float, ...], what: str) -> tuple[float, ...]:
+    # The rates themselves, or ValueError naming the first out of range.  The
+    # min/max accept is exact only for finite rates (a NaN can slip past both),
+    # which every caller guarantees: _args.floats has refused non-finite
+    # values, and finite rates plus finite shift amounts stay finite.
     if RATE_LO < min(rates) and max(rates) < RATE_HI:
-        return
+        return rates
     for i, r in enumerate(rates):
         if not RATE_LO < r < RATE_HI:
+            del rates  # a kept refusal pins no list
             raise ValueError(
                 f"{what}[{i}] = {r} outside the supported range "
                 f"({RATE_LO}, {RATE_HI})"
@@ -402,11 +403,13 @@ def _violations(curve: DiscountCurve, tol: float = MONOTONE_TOL):
     yield from forwards
 
 
-def _require_valid(curve: DiscountCurve, what: str) -> DiscountCurve:
-    """The curve itself, or ValueError naming its first validation finding."""
-    for first in _violations(curve):
-        raise ValueError(f"{what} fails validation: {first.kind} at index {first.index}")
-    return curve
+def _require_valid(curve: DiscountCurve | Violation, what: str) -> DiscountCurve:
+    """The curve, or ValueError naming its first validation finding, which ``curve`` may be."""
+    first = curve if curve.__class__ is Violation else next(_violations(curve), None)
+    if first is None:
+        return curve
+    del curve  # a kept refusal pins no curve
+    raise ValueError(f"{what} fails validation: {first.kind} at index {first.index}")
 
 
 def _require_integer_grid(tenors: tuple[float, ...]) -> None:

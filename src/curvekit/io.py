@@ -20,8 +20,7 @@ Swap and discount curves must sit on the consecutive integer grid
 
 from __future__ import annotations
 
-import math
-
+from . import _args
 from .curves import DiscountCurve, SwapCurve, ZeroCurve, _Record, _require_integer_grid
 
 ZERO = "zero"
@@ -54,9 +53,13 @@ class CurveFile(_Record):
             )
         if not points:
             raise CurveFileError("curve file contains no points")
-        for t, v in points:
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise CurveFileError(f"non-finite point ({t}, {v})")
+        pairs = []
+        for point in points:  # point by point, so that a refusal names its point
+            try:
+                pairs += _args.pairs((point,))
+            except ValueError:
+                raise CurveFileError(f"point {point!r} is not a pair of finite numbers") from None
+        points = tuple(pairs)
         tenors = [t for t, _ in points]
         if any(b <= a for a, b in zip(tenors, tenors[1:])) or tenors[0] <= 0:
             raise CurveFileError("tenors must be positive and strictly increasing")

@@ -17,10 +17,9 @@ from collections.abc import Iterable
 from random import Random
 
 from . import _args
-from .bootstrap import ShiftScenario, bootstrap, shift_response, shifted_bootstrap
-from .bootstrap import swap_rates_from_discounts
-from .curves import DiscountCurve, ForwardCurve, SwapCurve, _Record, forward_rates
-from .curves import _require_valid, _violations
+from .bootstrap import ShiftScenario, bootstrap, shift_response, swap_rates_from_discounts
+from .bootstrap import _shifted_rates, _strict_bootstrap
+from .curves import DiscountCurve, ForwardCurve, SwapCurve, _Record, _require_valid, forward_rates
 
 
 def _discounts(forwards: Iterable[float]) -> DiscountCurve:
@@ -116,22 +115,23 @@ def verify_trials(
     Trial t jitters the curve's forwards with ``Random(f"{seed}:{t}")``.  A trial
     whose shifted curve fails validation is skipped, not a finding.  Raises ValueError
     for ``trials`` or a ``seed`` that ``operator.index`` refuses or beyond float range,
-    for negative ``trials``, or when the curve or its shift fails validation.
+    for negative ``trials``, or when the curve or its shift fails validation, at its first
+    invalid year with validate's first finding; a kept refusal holds no partial curve.
     """
     trials, seed = _args.whole(trials, "trials"), _args.whole(seed, "seed")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    base = _require_valid(bootstrap(swaps), "input curve")
+    base = _require_valid(_strict_bootstrap(swaps.rates), "input curve")
     # The checks presuppose a functioning shifted market, so a scenario
     # that breaks the shifted curve is an input error, not a finding.
-    shifted = _require_valid(shifted_bootstrap(swaps, scenario), "shifted curve")
+    shifted = _require_valid(_strict_bootstrap(_shifted_rates(swaps, scenario)), "shifted curve")
     rows = {name: (None, outcome) for name, outcome in shift_response(base, shifted, scenario)}
     forwards = forward_rates(base)
     skipped = failed = 0
     for trial in range(trials):
         perturbed = perturb_swap_curve(Random(f"{seed}:{trial}"), forwards)
-        shifted = shifted_bootstrap(perturbed, scenario)
-        if any(_violations(shifted)):
+        shifted = _strict_bootstrap(_shifted_rates(perturbed, scenario))
+        if shifted.__class__ is not DiscountCurve:  # a finding
             skipped += 1
             continue
         trial_failed = False

@@ -84,7 +84,10 @@ def classify_triple(points, tol: float = CLASSIFY_TOL) -> TripleClassification:
     number >= 0.
     """
     tol = _args.tolerance(tol, "classification")
-    (x1, v1), (x2, v2), (x3, v3) = _args.pairs(points)
+    pairs = _args.pairs(points)
+    if len(pairs) != 3:
+        raise ValueError(f"points must be three (x, v) pairs, got {len(pairs)}")
+    (x1, v1), (x2, v2), (x3, v3) = pairs
     if not (x1 < x2 < x3):
         raise ValueError("abscissas must be strictly increasing")
     # The difference form of w1*v1 + w3*v3 - (w1 + w3)*v2: identical
@@ -111,6 +114,17 @@ def _window_margins(xs, vs) -> list[float]:
     ]
 
 
+def _consecutive_margins(xs, vs) -> list[float]:
+    """The margins of all N-2 windows, after _margins' refusals of a consecutive scan."""
+    n = len(xs)
+    if n < 3:
+        raise ValueError("shape scan needs at least 3 points")
+    margins = _window_margins(xs, vs)
+    if len(margins) < n - 2:
+        raise ValueError("abscissas must be strictly increasing")
+    return margins
+
+
 def _margins(xs, vs, mode: str):
     """The (i, j, k, margin) of the triples ``mode`` scans over the points (xs[i], vs[i]),
     in (i, j, k) order; margins as classify_triple's.
@@ -120,13 +134,8 @@ def _margins(xs, vs, mode: str):
     consecutive, an unknown mode and then more than ALL_TRIPLES_CAP points.
     """
     n = len(xs)
-    if n < 3:
-        raise ValueError("shape scan needs at least 3 points")
-    if mode == CONSECUTIVE:
-        margins = _window_margins(xs, vs)
-        if len(margins) < n - 2:
-            raise ValueError("abscissas must be strictly increasing")
-        return zip(count(), count(1), count(2), margins)
+    if mode == CONSECUTIVE or n < 3:  # fewer than 3 points: the first refusal of every mode
+        return zip(count(), count(1), count(2), _consecutive_margins(xs, vs))
     if not all(map(lt, xs, xs[1:])):
         raise ValueError("abscissas must be strictly increasing")
     if mode != ALL_TRIPLES:

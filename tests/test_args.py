@@ -10,6 +10,7 @@ triple parameter both.  The product is finite, so the table lists every case.
 import inspect
 import math
 import re
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -40,6 +41,7 @@ from curvekit.curves import (
     zero_price,
     zero_yield_from_price,
 )
+from curvekit.io import CurveFile, CurveFileError
 from curvekit.sampling import (
     random_discount_curve,
     random_nondecreasing_swap_curve,
@@ -341,11 +343,45 @@ def test_junk_number_is_a_value_error_naming_the_parameter(call, argument, messa
     assert str(exc.value) == message
 
 
+def curve_file_cases():
+    """CurveFile's points, one junk coordinate in the middle point, or a middle point that
+    is no pair; the refusal is the file error, a ValueError, and names the point."""
+    middles = [
+        ((junk, 0.025) if coord == 0 else (2.0, junk), f"[{coord}]-{jid}")
+        for coord in (0, 1)
+        for jid, junk in JUNK.items()
+    ]
+    middles += [
+        ((2.0, 0.025, 0.03), "-three-items"),
+        ((2.0,), "-one-item"),
+        (2.0, "-number"),
+        (None, "-none"),
+    ]
+    for middle, label in middles:
+        yield pytest.param(((1.0, 0.02), middle, (3.0, 0.04)), middle, id=f"points[1]{label}")
+
+
+@pytest.mark.parametrize("points, middle", curve_file_cases())
+def test_junk_curve_file_point_is_a_curve_file_error_naming_the_point(points, middle):
+    # A text or None value raised TypeError, 10**400 OverflowError and three items an
+    # unpacking ValueError; NaN and the infinities read "non-finite point (...)".
+    with pytest.raises(CurveFileError) as exc:
+        CurveFile("zero", points)
+    assert str(exc.value) == f"point {middle!r} is not a pair of finite numbers"
+
+
+def test_curve_file_points_are_floats_under_the_rule():
+    got = CurveFile("swap", [(1, Fraction(1, 50)), (2, 0.025)])
+    assert got.points == ((1.0, 0.02), (2.0, 0.025))
+    assert all(type(x) is float for point in got.points for x in point)
+
+
 # The records and exceptions the library builds hold the values they are given; the rule
-# covers the arguments of functions, methods and the constructors of curves and scenarios.
+# covers the arguments of functions, methods and the constructors of curves, curve files
+# and scenarios.
 BUILT_BY_THE_LIBRARY = {
-    "ArbitrageCandidate", "BootstrapError", "Butterfly", "CheckResult", "CurveFile",
-    "CurveFileError", "PnlBreakdown", "SafetyCheck", "ShapeReport", "TripleClassification",
+    "ArbitrageCandidate", "BootstrapError", "Butterfly", "CheckResult", "CurveFileError",
+    "PnlBreakdown", "SafetyCheck", "ShapeReport", "TripleClassification",
     "ValidationReport", "Violation",
 }
 
@@ -372,7 +408,7 @@ def annotated_number_parameters():
 
 def test_the_table_covers_every_annotated_number_parameter_once():
     listed = [(name, param) for name, param, *_ in SCALARS + TRIPLES + SEQUENCES]
-    listed += [(name, "points") for name, _ in POINT_SCANS]
+    listed += [(name, "points") for name, _ in POINT_SCANS] + [("CurveFile", "points")]
     assert len(set(listed)) == len(listed)
     assert annotated_number_parameters() <= set(listed)
 

@@ -215,7 +215,7 @@ def test_trial_count_that_is_not_whole_is_refused_before_any_bootstrap(monkeypat
         raise AssertionError("bootstrapped before the trial count was checked")
 
     monkeypatch.setattr(sampling, "bootstrap", no_bootstrap)
-    monkeypatch.setattr(sampling, "shifted_bootstrap", no_bootstrap)
+    monkeypatch.setattr(sampling, "_strict_bootstrap", no_bootstrap)
     with pytest.raises(ValueError) as exc:
         verify_trials(SwapCurve((0.05,) * 3), ShiftScenario.parallel(0.01), trials)
     assert str(exc.value) == f"trials must be an integer, got {trials!r}"

@@ -54,6 +54,15 @@ class TestClassifyTriple:
         with pytest.raises(ValueError):
             classify_triple(((2.0, 0.1), (1.0, 0.2), (3.0, 0.3)))
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 4])
+    def test_other_than_three_points_are_refused_by_name(self, count):
+        # Two points used to end in "not enough values to unpack (expected 3, got 2)",
+        # four in "too many values to unpack (expected 3)".
+        points = [(float(t), 0.01 * t) for t in range(1, count + 1)]
+        with pytest.raises(ValueError) as exc:
+            classify_triple(points)
+        assert str(exc.value) == f"points must be three (x, v) pairs, got {count}"
+
     def test_uneven_spacing(self):
         # (2, 5, 10): outer weights are (10-5, 5-2) = (5, 3).
         cls = classify_triple(((2.0, 0.02), (5.0, 0.022), (10.0, 0.034)))
